@@ -1,25 +1,19 @@
 // Fig. 5 ablation: the paper's chaining traversal against a classic
-// frontier BFS, a full-fixpoint recomputation, the two relational
-// ImageEngine backends, and the saturation backend -- each with dynamic
-// reordering off and on, and each relational backend additionally with
-// conjunct scheduling (cluster ordering + n-ary and_exists_multi
-// products; the scheduled monolithic arm never materializes its
-// relation). The "monolithic sched." arm runs the self-tuning
-// bounded-lookahead schedule: it predicts the relation-construction peak
-// from the cluster node counts and falls back to the unscheduled path
-// when the relation is cheap to build (mread8), so the row reports the
-// *effective* schedule, which may read "none". The "saturation" arm
-// computes the whole fixpoint with the in-kernel REACH operation
-// (level-partitioned clusters, no whole-space frontiers; see
+// frontier BFS, a full-fixpoint recomputation, the relational ImageEngine
+// backend (support-clustered sparse relations fired in support-overlap
+// order through the n-ary and_exists_multi kernel), and the saturation
+// backend -- each with dynamic reordering off and on. The "saturation"
+// arm computes the whole fixpoint with the in-kernel REACH operation
+// (level-partitioned relations, no whole-space frontiers; see
 // docs/architecture.md).
 //
 // Chaining lets transitions later in the pass fire from states discovered
 // earlier in the same pass, cutting the number of outer passes (and hence
-// peak intermediate BDDs) on long pipelines. The relational arms make the
-// paper's "cofactor beats relations" claim a fair fight: the monolithic
-// relation is the strawman the paper argued against, the partitioned arm
-// is the modern baseline (support-clustered relations with early
-// quantification, fired with disjunctive chaining).
+// peak intermediate BDDs) on long pipelines. The relational arm makes the
+// paper's "cofactor beats relations" claim a fair fight: rather than the
+// monolithic strawman the paper argued against, it is the modern baseline
+// (support-clustered relations with early quantification, fired with
+// disjunctive chaining).
 //
 // The sift toggle measures the reordering lever the paper never had:
 // variable groups keep each primed twin pair together, so even the
@@ -33,23 +27,21 @@
 // so comparing a "+sift" row against its baseline isolates what the
 // reordering itself buys. Expect wins where the traversal's working set
 // dominates and losses where sifting optimizes the persistent BDDs at the
-// expense of the relational image intermediates (mread8 monolithic):
-// dynamic reordering is a lever, not a free lunch.
+// expense of the relational image intermediates: dynamic reordering is a
+// lever, not a free lunch.
 //
 // Every row reports peak_intermediate_nodes: the worst transient live-node
 // overhead of a single image/preimage step (peak inside the step minus
-// live entering it), sampled by the engines' step gauges. This is the
-// number conjunct scheduling attacks -- the select24 monolithic arm's
-// multi-million-node and_exists intermediates live here, not in any
-// stored BDD.
+// live entering it), sampled by the engines' step gauges: relational
+// and_exists intermediates live here, not in any stored BDD.
 //
 // Every row also reports the kernel-health counters that complement-edge
 // and cache work move: the computed-cache hit rate and the unique-table
 // load factor, both read from ManagerStats at the end of the arm.
 //
-// The parallel-kernel axis reruns the two winner arms (saturation and the
-// scheduled monolithic product) with the work-stealing pool attached
-// ("saturation t4", "monolithic sched. t8", ...); their rows carry a
+// The parallel-kernel axis reruns the saturation and relational arms with
+// the work-stealing pool attached ("saturation t4", "relational t8",
+// ...); their rows carry a
 // "threads" field, and threads=1 rows are the bit-identical reference the
 // regression gate holds the thread arms' state counts to.
 //
@@ -90,7 +82,6 @@ struct Row {
   std::string family;
   std::string arm;
   bool sift = false;
-  std::string schedule = "none";  // conjunct schedule of the engine
   std::size_t threads = 1;        // BDD kernel worker threads
   std::size_t passes = 0;
   std::size_t images = 0;
@@ -99,7 +90,7 @@ struct Row {
   std::size_t peak_intermediate = 0;  // worst single-step transient overhead
   std::size_t relation_nodes = 0; // 0 for the cofactor arms
   std::size_t units = 0;
-  std::size_t scheduled_conjuncts = 0;  // factor positions (0 unscheduled)
+  std::size_t scheduled_conjuncts = 0;  // relational factor positions
   std::size_t template_groups = 0;      // shared isomorphism groups (tmpl arms)
   std::size_t template_saved_nodes = 0; // estimated nodes sharing avoided
   std::size_t reorders = 0;       // completed sift passes
@@ -136,15 +127,14 @@ void record(const Row& row) {
   g_rows.push_back(row);
 }
 
-core::TraversalOptions arm_options(core::TraversalStrategy strategy, bool sift,
-                                   core::ScheduleKind schedule) {
+core::TraversalOptions arm_options(core::TraversalStrategy strategy,
+                                   bool sift) {
   core::TraversalOptions options;
   options.strategy = strategy;
   options.auto_sift = sift;
   // The sift arms run converged sifting: the candidate fix for a single
   // pass settling in a poor local minimum (mread8 chaining+sift).
   options.sift_converged = sift;
-  options.engine_options.schedule = schedule;
   return options;
 }
 
@@ -154,11 +144,10 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
   core::SymbolicStg sym(s);
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   core::CofactorEngine engine(sym);
-  core::TraversalResult r = core::traverse(
-      engine, arm_options(strategy, sift, core::ScheduleKind::kNone));
+  core::TraversalResult r = core::traverse(engine, arm_options(strategy, sift));
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
-  record(Row{s.name(), name, sift, "none", /*threads=*/1, r.stats.passes,
+  record(Row{s.name(), name, sift, /*threads=*/1, r.stats.passes,
              r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine.stats().peak_intermediate_nodes,
@@ -175,29 +164,23 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
                       core::EngineKind kind, core::TraversalStrategy strategy,
-                      bool sift,
-                      core::ScheduleKind schedule = core::ScheduleKind::kNone,
-                      std::size_t threads = 1,
+                      bool sift, std::size_t threads = 1,
                       core::TemplateMode templates = core::TemplateMode::kOff) {
   Stopwatch watch;
   core::SymbolicStg sym(s, core::Ordering::kInterleaved, 1 << 14,
                         /*with_primed_vars=*/true);
   core::EngineOptions engine_options;
-  engine_options.schedule = schedule;
   engine_options.threads = threads;
   engine_options.relation_templates = templates;
   sym.manager().set_profiling(true);  // arm GC/sift phase timings
   const std::unique_ptr<core::ImageEngine> engine =
       core::make_engine(kind, sym, engine_options);
-  core::TraversalOptions options = arm_options(strategy, sift, schedule);
+  core::TraversalOptions options = arm_options(strategy, sift);
   options.engine_options.threads = threads;
   core::TraversalResult r = core::traverse(*engine, options);
   const bdd::ManagerStats ms = sym.manager().stats();
   const bdd::ManagerProfile prof = sym.manager().profile();
-  // The *effective* schedule: the self-tuning monolithic engine may have
-  // fallen back to none (EngineOptions::monolithic_fallback_nodes).
-  record(Row{s.name(), name, sift, core::to_string(engine->schedule_kind()),
-             threads, r.stats.passes,
+  record(Row{s.name(), name, sift, threads, r.stats.passes,
              r.stats.image_computations, r.stats.peak_reached_nodes,
              sym.manager().peak_live_nodes(),
              engine->stats().peak_intermediate_nodes,
@@ -234,8 +217,7 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
       run_relation_arm(s, std::string("saturation tmpl") + suffix,
                        core::EngineKind::kSaturation,
                        core::TraversalStrategy::kChaining, sift,
-                       core::ScheduleKind::kNone, /*threads=*/1,
-                       core::TemplateMode::kOn);
+                       /*threads=*/1, core::TemplateMode::kOn);
     }
     return;
   }
@@ -247,23 +229,10 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
                      core::TraversalStrategy::kFrontierBfs, sift);
     run_cofactor_arm(s, std::string("full fixpoint") + suffix,
                      core::TraversalStrategy::kFullFixpoint, sift);
-    run_relation_arm(s, std::string("monolithic rel.") + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, sift);
-    run_relation_arm(s, std::string("partitioned rel.") + suffix,
-                     core::EngineKind::kPartitionedRelation,
+    // The relational baseline, fired with disjunctive chaining.
+    run_relation_arm(s, std::string("relational") + suffix,
+                     core::EngineKind::kRelational,
                      core::TraversalStrategy::kChaining, sift);
-    // The scheduled arms: same strategies, conjunct-scheduled products.
-    // The monolithic one runs the self-tuning bounded-lookahead schedule
-    // (falls back to none when the relation is cheap to build).
-    run_relation_arm(s, std::string("monolithic sched.") + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, sift,
-                     core::ScheduleKind::kBoundedLookahead);
-    run_relation_arm(s, std::string("partitioned sched.") + suffix,
-                     core::EngineKind::kPartitionedRelation,
-                     core::TraversalStrategy::kChaining, sift,
-                     core::ScheduleKind::kSupportOverlap);
     // The saturation arm: the whole fixpoint in one in-kernel REACH.
     run_relation_arm(s, std::string("saturation") + suffix,
                      core::EngineKind::kSaturation,
@@ -277,12 +246,10 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
     run_relation_arm(s, std::string("saturation tmpl") + suffix,
                      core::EngineKind::kSaturation,
                      core::TraversalStrategy::kChaining, sift,
-                     core::ScheduleKind::kNone, /*threads=*/1,
-                     core::TemplateMode::kOn);
+                     /*threads=*/1, core::TemplateMode::kOn);
   }
-  // The parallel-kernel axis: the two winner arms (in-kernel saturation
-  // and the scheduled monolithic product) rerun with the work-stealing
-  // pool attached. Sift stays off so the row isolates the kernel's
+  // The parallel-kernel axis: the saturation and relational arms rerun
+  // with the work-stealing pool attached. Sift stays off so the row isolates the kernel's
   // threading; the 1-thread rows above are the bit-identical reference
   // the regression gate compares state counts against.
   if (!sift_off) return;
@@ -291,11 +258,10 @@ void run(const stg::Stg& s, bool sift_off, bool sift_on,
     const std::string suffix = " t" + std::to_string(threads);
     run_relation_arm(s, "saturation" + suffix, core::EngineKind::kSaturation,
                      core::TraversalStrategy::kChaining, /*sift=*/false,
-                     core::ScheduleKind::kNone, threads);
-    run_relation_arm(s, "monolithic sched." + suffix,
-                     core::EngineKind::kMonolithicRelation,
-                     core::TraversalStrategy::kFrontierBfs, /*sift=*/false,
-                     core::ScheduleKind::kBoundedLookahead, threads);
+                     threads);
+    run_relation_arm(s, "relational" + suffix, core::EngineKind::kRelational,
+                     core::TraversalStrategy::kChaining, /*sift=*/false,
+                     threads);
   }
 }
 
@@ -320,7 +286,7 @@ void write_json(const char* path) {
     }
     std::fprintf(f,
                  "  {\"family\": \"%s\", \"arm\": \"%s\", \"sift\": %s, "
-                 "\"schedule\": \"%s\", \"threads\": %zu, \"passes\": %zu, "
+                 "\"threads\": %zu, \"passes\": %zu, "
                  "\"images\": %zu, \"peak_reached_nodes\": %zu, "
                  "\"peak_live_nodes\": %zu, \"peak_intermediate_nodes\": %zu, "
                  "\"relation_nodes\": %zu, "
@@ -334,7 +300,7 @@ void write_json(const char* path) {
                  "\"cache_hit_multi\": %.4f, \"cache_hit_permute\": %.4f, "
                  "\"seconds\": %.6f, \"states\": %s}%s\n",
                  r.family.c_str(), r.arm.c_str(), r.sift ? "true" : "false",
-                 r.schedule.c_str(), r.threads, r.passes, r.images,
+                 r.threads, r.passes, r.images,
                  r.peak_reached,
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
                  r.scheduled_conjuncts, r.template_groups,

@@ -12,13 +12,8 @@
 //     --ordering  O     interleaved | clustered | declaration |
 //                       signals-first | random
 //     --strategy  S     chaining | bfs | fixpoint
-//     --engine    E     cofactor | monolithic | partitioned | saturation
+//     --engine    E     cofactor | relational | saturation
 //                       (image backend; see docs/architecture.md)
-//     --schedule  C     none | support-overlap | bounded-lookahead
-//                       (conjunct scheduling for the relational engines:
-//                       cluster firing order + n-ary relational products;
-//                       bounded-lookahead self-tunes the monolithic engine
-//                       back to none when its relation is cheap to build)
 //     --threads   N     BDD kernel worker threads (1 = exact sequential
 //                       kernel, bit-identical results at any count)
 //     --relation-templates M  off | on | auto (saturation backend: share
@@ -84,8 +79,7 @@ void usage() {
       "  --ordering  O     interleaved | clustered | declaration |\n"
       "                    signals-first | random\n"
       "  --strategy  S     chaining | bfs | fixpoint\n"
-      "  --engine    E     cofactor | monolithic | partitioned | saturation\n"
-      "  --schedule  C     none | support-overlap | bounded-lookahead\n"
+      "  --engine    E     cofactor | relational | saturation\n"
       "  --threads   N     BDD kernel worker threads (1 = sequential)\n"
       "  --relation-templates M  off | on | auto (share isomorphic\n"
       "                    transition relations in the saturation backend)\n"

@@ -20,7 +20,7 @@
 //     --quiet          print only result/batch_done/error lines, not the
 //                      per-session event stream
 //     plus every core::CheckConfig flag (--ordering, --strategy,
-//     --engine, --schedule, --threads, --relation-templates,
+//     --engine, --threads, --relation-templates,
 //     --arbitrate, --initial-nodes, --max-live-nodes, --max-seconds,
 //     --max-steps) -- parsed by the unified config and forwarded as the
 //     wire "options" object
@@ -56,8 +56,8 @@ void usage() {
       "  --cancel  ID     cancel a queued/running session\n"
       "  --batch          force the batch op for a single file\n"
       "  --quiet          suppress streamed event lines\n"
-      "  --ordering O  --strategy S  --engine E  --schedule C\n"
-      "  --threads N  --relation-templates M  --arbitrate A,B\n"
+      "  --ordering O  --strategy S  --engine E  --threads N\n"
+      "  --relation-templates M  --arbitrate A,B\n"
       "  --initial-nodes N  --max-live-nodes N  --max-seconds S\n"
       "  --max-steps N\n",
       stderr);

@@ -34,8 +34,8 @@ smoke job runs a family subset of the full baseline).
 contains at least one row whose arm is NAME or NAME+suffix (e.g.
 "saturation" matches "saturation" and "saturation+sift"): it pins the
 bench's arm roster, so an arm silently dropped from the bench binary --
-the saturation arm, a scheduled arm -- trips CI instead of shrinking the
-comparison.
+the saturation arm, the relational baseline -- trips CI instead of
+shrinking the comparison.
 
 Exit status: 0 when every compared row is within budget, 1 otherwise.
 To see the gate trip, inflate any peak_live_nodes value in the baseline's

@@ -146,7 +146,11 @@ double Manager::sat_count(const Bdd& f) const {
     prob.emplace(e, p);
     return p;
   };
-  return go(f.ref()) * std::pow(2.0, static_cast<double>(var2level_.size()));
+  // An empty set has exactly 0 models at any variable count; scaling its
+  // probability would give 0 x inf = NaN past ~1023 variables.
+  const double p = go(f.ref());
+  return p == 0.0 ? 0.0
+                  : p * std::pow(2.0, static_cast<double>(var2level_.size()));
 }
 
 double Manager::sat_count_over(const Bdd& f, const std::vector<Var>& vars) const {

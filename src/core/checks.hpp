@@ -14,7 +14,7 @@
 //
 // Checks that fire transitions (persistency, fake conflicts,
 // CSC-reducibility) take an ImageEngine&, so they run unchanged on any
-// backend (cofactor, monolithic relation, partitioned relations). The
+// backend (cofactor, relational, saturation). The
 // SymbolicStg& overloads are conveniences that use the paper's cofactor
 // backend.
 #pragma once

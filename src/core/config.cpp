@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "core/conjunct_schedule.hpp"
 #include "core/encoding.hpp"
 #include "core/image_engine.hpp"
 #include "core/traversal.hpp"
@@ -84,15 +83,6 @@ EngineKind parse_engine_or_die(const std::string& name) {
   return *e;
 }
 
-ScheduleKind parse_schedule_or_die(const std::string& name) {
-  const auto s = parse_schedule_kind(name);
-  if (!s) {
-    bad("unknown schedule '" + name + "' (valid: " +
-        valid_schedule_kind_names() + ")");
-  }
-  return *s;
-}
-
 TemplateMode parse_templates_or_die(const std::string& name) {
   const auto m = parse_template_mode(name);
   if (!m) {
@@ -109,6 +99,29 @@ std::size_t parse_threads_or_die(const std::string& text) {
         valid_thread_count_range() + ")");
   }
   return *count;
+}
+
+/// Every wire key from_json accepts; each flag is its key, dashed
+/// ("relation_templates" -> "--relation-templates"). The rejection
+/// messages list them, so a mistyped or retired name shows what is valid.
+constexpr const char* kOptionKeys[] = {
+    "ordering", "strategy", "engine", "threads", "relation_templates",
+    "arbitrate", "initial_nodes", "max_live_nodes", "max_seconds",
+    "max_steps", "trace", "profile",
+};
+
+std::string valid_option_names(bool as_flags) {
+  std::string names;
+  for (const char* key : kOptionKeys) {
+    if (!names.empty()) names += ", ";
+    if (!as_flags) {
+      names += key;
+      continue;
+    }
+    names += "--";
+    for (const char* p = key; *p != '\0'; ++p) names += *p == '_' ? '-' : *p;
+  }
+  return names;
 }
 
 std::pair<std::string, std::string> parse_arbitrate_pair(
@@ -146,9 +159,6 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
       config.check.strategy = parse_strategy_or_die(value.as_string());
     } else if (key == "engine") {
       config.check.engine = parse_engine_or_die(value.as_string());
-    } else if (key == "schedule") {
-      config.check.engine_options.schedule =
-          parse_schedule_or_die(value.as_string());
     } else if (key == "threads") {
       config.check.engine_options.threads =
           parse_threads_or_die(std::to_string(json_size(value, key)));
@@ -175,7 +185,8 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
     } else if (key == "profile") {
       config.profile = value.as_bool();
     } else {
-      bad("unknown option '" + key + "'");
+      bad("unknown option '" + key + "' (valid: " + valid_option_names(false) +
+          ")");
     }
   }
   config.validate();
@@ -193,10 +204,6 @@ json::Value CheckConfig::to_json() const {
   }
   if (check.engine != defaults.check.engine) {
     obj.set("engine", Value(std::string(to_string(check.engine))));
-  }
-  if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
-    obj.set("schedule",
-            Value(std::string(to_string(check.engine_options.schedule))));
   }
   if (check.engine_options.threads != defaults.check.engine_options.threads) {
     obj.set("threads", Value(check.engine_options.threads));
@@ -251,8 +258,6 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
     check.strategy = parse_strategy_or_die(value());
   } else if (arg == "--engine") {
     check.engine = parse_engine_or_die(value());
-  } else if (arg == "--schedule") {
-    check.engine_options.schedule = parse_schedule_or_die(value());
   } else if (arg == "--threads") {
     check.engine_options.threads = parse_threads_or_die(value());
   } else if (arg == "--relation-templates") {
@@ -281,7 +286,10 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
 CheckConfig CheckConfig::from_args(const std::vector<std::string>& args) {
   CheckConfig config;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (!config.consume_flag(args, i)) bad("unknown flag '" + args[i] + "'");
+    if (!config.consume_flag(args, i)) {
+      bad("unknown flag '" + args[i] + "' (valid: " +
+          valid_option_names(true) + ")");
+    }
   }
   config.validate();
   return config;
@@ -302,9 +310,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   }
   if (check.engine != defaults.check.engine) {
     flag("--engine", to_string(check.engine));
-  }
-  if (check.engine_options.schedule != defaults.check.engine_options.schedule) {
-    flag("--schedule", to_string(check.engine_options.schedule));
   }
   if (check.engine_options.threads != defaults.check.engine_options.threads) {
     flag("--threads", std::to_string(check.engine_options.threads));
@@ -342,7 +347,6 @@ bool operator==(const CheckConfig& a, const CheckConfig& b) {
   return a.check.ordering == b.check.ordering &&
          a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
-         a.check.engine_options.schedule == b.check.engine_options.schedule &&
          a.check.engine_options.threads == b.check.engine_options.threads &&
          a.check.engine_options.relation_templates ==
              b.check.engine_options.relation_templates &&

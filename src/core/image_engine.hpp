@@ -1,4 +1,4 @@
-// The pluggable image-computation layer: one interface, four backends.
+// The pluggable image-computation layer: one interface, three backends.
 //
 // Everything above the encoding -- traversal, the implementability checks,
 // the benches -- computes successor/predecessor sets through an
@@ -9,47 +9,33 @@
 // (k-bounded places, multi-token arcs) as future backends behind the same
 // interface.
 //
-//   * CofactorEngine          -- the paper's delta_N pipeline (Sec. 4):
-//                                four cube operations per transition, no
-//                                relation ever built.
-//   * MonolithicRelationEngine -- the textbook baseline: one relation
-//                                T(V, V') = OR_t T_t. Without a schedule
-//                                it is applied by a single relational
-//                                product per step; with a schedule
-//                                (EngineOptions::schedule != kNone) the
-//                                monolithic BDD is never materialized --
-//                                each step runs the support-ordered
-//                                cluster list through the n-ary
-//                                and_exists_multi kernel, so the
-//                                accumulate-then-quantify intermediates of
-//                                the single big product never exist.
-//   * PartitionedRelationEngine -- the fair modern baseline: sparse
-//                                per-transition relations clustered by
-//                                shared support up to a node cap, each
-//                                cluster applied with an early
-//                                quantification cube covering exactly its
-//                                own support (a ConjunctSchedule; see
-//                                core/conjunct_schedule.hpp). Under the
-//                                chaining strategy the clusters fire
-//                                disjunctively in sequence, each from the
-//                                set enriched by its predecessors.
-//   * SaturationEngine         -- the in-kernel fixpoint (saturation.hpp):
-//                                the same support-clustered sparse
-//                                relations, partitioned by the level of
-//                                their top support variable and handed to
-//                                the kernel's REACH operation, which
-//                                saturates low variables before high ones
-//                                ever see a frontier. traverse() detects
-//                                it (computes_global_fixpoint) and
-//                                replaces its pass loop with whole-space
-//                                reach_fixpoint calls.
+//   * CofactorEngine   -- the paper's delta_N pipeline (Sec. 4): four cube
+//                         operations per transition, no relation ever
+//                         built.
+//   * RelationalEngine -- the relational baseline: sparse per-transition
+//                         relations clustered by shared support under a
+//                         node cap, fired in support-overlap order, each
+//                         cluster's product run through the n-ary
+//                         and_exists_multi kernel with a quantification
+//                         cube covering exactly its own support. Under the
+//                         chaining strategy the clusters fire disjunctively
+//                         in sequence, each from the set enriched by its
+//                         predecessors.
+//   * SaturationEngine -- the in-kernel fixpoint (saturation.hpp): sparse
+//                         relations partitioned by the level of their top
+//                         support variable and handed to the kernel's
+//                         REACH operation, which saturates low variables
+//                         before high ones ever see a frontier. traverse()
+//                         detects it (computes_global_fixpoint) and
+//                         replaces its pass loop with whole-space
+//                         reach_fixpoint calls.
 //
 // Traversal granularity is expressed as "units": the indivisible firing
 // steps a backend offers. The cofactor backend has one unit per
-// transition (the paper's Fig. 5 inner loop), the monolithic backend a
-// single unit, the partitioned backend one unit per cluster. traverse()
-// iterates units, so chaining, lazy initial-value binding and the on-the-
-// fly safeness/consistency checks run unchanged on every backend.
+// transition (the paper's Fig. 5 inner loop), the relational backend one
+// unit per cluster. traverse() iterates units, so chaining, lazy
+// initial-value binding and the on-the-fly safeness/consistency checks run
+// unchanged on every backend.
 #pragma once
 
 #include <memory>
@@ -58,7 +44,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/conjunct_schedule.hpp"
 #include "core/encoding.hpp"
 #include "core/relation.hpp"
 
@@ -66,11 +51,10 @@ namespace stgcheck::core {
 
 /// Which backend computes images; TraversalOptions::engine selects one.
 enum class EngineKind {
-  kCofactor,            ///< the paper's delta_N pipeline
-  kMonolithicRelation,  ///< one relation over (V, V')
-  kPartitionedRelation, ///< support-clustered relations, early quantification
-  kSaturation,          ///< in-kernel REACH fixpoint over level-partitioned
-                        ///< clusters (core/saturation.hpp)
+  kCofactor,    ///< the paper's delta_N pipeline
+  kRelational,  ///< support-clustered relations, early quantification
+  kSaturation,  ///< in-kernel REACH fixpoint over level-partitioned
+                ///< relations (core/saturation.hpp)
 };
 
 const char* to_string(EngineKind kind);
@@ -99,33 +83,6 @@ std::optional<TemplateMode> parse_template_mode(std::string_view name);
 std::string valid_template_mode_names();
 
 struct EngineOptions {
-  /// Relational backends: stop growing a cluster once its relation BDD
-  /// exceeds this many nodes. A single transition whose sparse relation is
-  /// already larger stays a singleton cluster (a cap cannot split one
-  /// transition).
-  std::size_t cluster_node_cap = 2000;
-  /// Conjunct scheduling for the relational backends
-  /// (core/conjunct_schedule.hpp). kNone keeps the classic pipelines (the
-  /// monolithic engine materializes its OR, the partitioned engine fires
-  /// clusters in construction order with binary products); any other kind
-  /// orders the cluster list by support overlap and drives every
-  /// relational product through the n-ary and_exists_multi kernel, and the
-  /// monolithic engine stops materializing its relation entirely. The
-  /// cofactor backend ignores this (it has no relations to schedule).
-  ScheduleKind schedule = ScheduleKind::kNone;
-  /// Self-tuning fallback for the monolithic engine under
-  /// ScheduleKind::kBoundedLookahead: the engine predicts the peak of
-  /// materializing its monolithic relation from the sparse relation node
-  /// counts (each full-frame operand is its sparse core plus ~3 nodes per
-  /// untouched twin pair; the OR-accumulation overshoots the operand
-  /// total by roughly 10x on the bench families) and, when the prediction
-  /// is below this many nodes, falls back to the unscheduled path: the
-  /// relation is cheap to build and one big product per step beats
-  /// per-cluster renames (mread8: 251k vs 301k peak live). The default
-  /// sits between mread8's 72k prediction (falls back, measured peak 80k)
-  /// and mutex12's 103k (stays scheduled, measured peak 149k). 0 disables
-  /// the fallback; other schedule kinds never fall back.
-  std::size_t monolithic_fallback_nodes = 90'000;
   /// Threads the BDD kernel may use (Manager::set_thread_count; traverse()
   /// applies it to the encoding's manager before the first image). 1 -- the
   /// default -- runs the exact sequential kernel, bit-identical to every
@@ -156,9 +113,8 @@ struct ImageEngineStats {
   /// show up (the reached set and the relations are part of the entering
   /// count, so they do not pollute it).
   std::size_t peak_intermediate_nodes = 0;
-  /// Total conjunct positions across the backend's schedules (the factor
-  /// lists its scheduled image steps hand to the n-ary kernel); 0 when
-  /// running unscheduled.
+  /// Total factors across the relational backend's clusters (the lists
+  /// its image steps hand to the n-ary kernel); 0 for the other backends.
   std::size_t scheduled_conjuncts = 0;
   /// Relation-template sharing (saturation backend with
   /// EngineOptions::relation_templates enabled; 0 everywhere else).
@@ -211,12 +167,6 @@ class ImageEngine {
   /// The least fixpoint of `from` under every transition. Engines that
   /// return true above must override; the default throws ModelError.
   virtual bdd::Bdd reach_fixpoint(const bdd::Bdd& from);
-
-  /// The conjunct schedule the backend is *effectively* running (kNone for
-  /// backends without one, and for a scheduled engine that fell back --
-  /// see EngineOptions::monolithic_fallback_nodes). The benches report
-  /// this instead of the requested kind.
-  virtual ScheduleKind schedule_kind() const { return ScheduleKind::kNone; }
 
   // ---- Shared helpers -----------------------------------------------------
 
@@ -307,145 +257,57 @@ class CofactorEngine final : public ImageEngine {
   std::vector<std::vector<pn::TransitionId>> units_;  // one transition each
 };
 
-/// The textbook baseline: full-frame per-transition relations ORed into
-/// one monolithic relation; a single relational product per step. With a
-/// schedule (EngineOptions::schedule != kNone) neither the full relations
-/// nor the monolithic OR are ever materialized: the engine keeps sparse
-/// relations clustered by support, orders the clusters with a
-/// ConjunctSchedule, and each step runs every cluster's factor list
-/// through the n-ary and_exists_multi kernel -- still one unit per step,
-/// so traversal strategies see unchanged monolithic semantics. Requires an
+/// The relational baseline: sparse per-transition relations clustered by
+/// shared support under kClusterNodeCap nodes per cluster relation, one
+/// unit per cluster, the clusters fired in support_overlap_order. Each
+/// cluster's image and preimage conjoin the state set with the cluster's
+/// factor list through the n-ary kernel and quantify exactly the
+/// cluster's support, so untouched variables are never quantified at all.
+/// The per-transition image_via/preimage_via keep the binary relational
+/// product over the transition's own sparse relation. Requires an
 /// encoding with primed variables.
-class MonolithicRelationEngine final : public ImageEngine {
+class RelationalEngine final : public ImageEngine {
  public:
-  explicit MonolithicRelationEngine(SymbolicStg& sym,
-                                    const EngineOptions& options = {});
+  /// Stop growing a cluster once its relation BDD would exceed this many
+  /// nodes. A single transition whose sparse relation is already larger
+  /// stays a singleton cluster (a cap cannot split one transition).
+  static constexpr std::size_t kClusterNodeCap = 2000;
 
-  const char* name() const override { return "monolithic"; }
-  EngineKind kind() const override { return EngineKind::kMonolithicRelation; }
+  explicit RelationalEngine(SymbolicStg& sym);
 
-  bdd::Bdd image(const bdd::Bdd& states) override;
-  bdd::Bdd preimage(const bdd::Bdd& states) override;
-  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
-  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
-
-  std::size_t unit_count() const override { return 1; }
-  const std::vector<pn::TransitionId>& unit_transitions(std::size_t) const override {
-    return all_transitions_;
-  }
-  bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
-  /// Clusters behind the scheduled path (0 when unscheduled).
-  std::size_t scheduled_cluster_count() const { return clusters_.size(); }
-  /// True when kBoundedLookahead predicted a cheap monolithic construction
-  /// and the engine dropped to the unscheduled path
-  /// (EngineOptions::monolithic_fallback_nodes).
-  bool schedule_fell_back() const { return fell_back_; }
-  /// The construction-peak prediction the fallback decision used (0 when
-  /// no prediction ran).
-  std::size_t predicted_construction_peak() const { return predicted_peak_; }
-
-  /// The full-frame relation of one transition. Only the unscheduled
-  /// engine materializes these; throws ModelError otherwise.
-  const bdd::Bdd& relation(pn::TransitionId t) const;
-  /// The monolithic relation (disjunction over all transitions). Only the
-  /// unscheduled engine materializes it; throws ModelError otherwise.
-  const bdd::Bdd& monolithic() const;
-
- protected:
-  void on_reorder() override;
-
- private:
-  bdd::Bdd apply(const bdd::Bdd& states, const bdd::Bdd& relation);
-  bdd::Bdd scheduled_image(const bdd::Bdd& states);
-  bdd::Bdd scheduled_preimage(const bdd::Bdd& states);
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
-
-  ScheduleKind schedule_kind_;
-  bool fell_back_ = false;
-  std::size_t predicted_peak_ = 0;
-  std::vector<pn::TransitionId> all_transitions_;
-
-  // Unscheduled path.
-  std::vector<bdd::Bdd> relations_;
-  bdd::Bdd monolithic_;
-
-  // Scheduled path.
-  std::vector<TransitionRelation> sparse_;   // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // cluster firing order + quant sets
-};
-
-/// Sparse per-transition relations clustered by shared support up to a
-/// node cap; each cluster carries an early-quantification cube covering
-/// exactly its own support, so untouched variables are never quantified
-/// at all. With a schedule the clusters fire in support-overlap order and
-/// every product goes through the n-ary kernel on the cluster's factor
-/// list. Requires an encoding with primed variables.
-class PartitionedRelationEngine final : public ImageEngine {
- public:
-  PartitionedRelationEngine(SymbolicStg& sym, const EngineOptions& options = {});
-
-  const char* name() const override { return "partitioned"; }
-  EngineKind kind() const override { return EngineKind::kPartitionedRelation; }
+  const char* name() const override { return "relational"; }
+  EngineKind kind() const override { return EngineKind::kRelational; }
 
   bdd::Bdd preimage(const bdd::Bdd& states) override;
   bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
-  // Units follow the schedule's firing order (identity when unscheduled).
+  /// Units are the clusters, in firing order.
   std::size_t unit_count() const override { return clusters_.size(); }
   const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[unit_cluster(u)].transitions;
+    return clusters_[u].transitions;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
-  // ---- Introspection (tests, benches, docs) ------------------------------
+  // ---- Introspection (tests, docs) ---------------------------------------
 
-  std::size_t cluster_count() const { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& cluster_transitions(std::size_t c) const {
-    return clusters_[c].transitions;
-  }
-  /// BDD size of one cluster's relation.
-  std::size_t cluster_nodes(std::size_t c) const;
-  /// The quantification schedule: for each cluster (in cluster-index
-  /// order), the unprimed state variables its image step quantifies (== the
-  /// cluster's support, sorted by id). Every variable a transition touches
-  /// is quantified in the cluster owning that transition and nowhere else
-  /// -- the earliest legal point for a disjunctive partition. Derived from
-  /// the engine's ConjunctSchedule.
-  std::vector<std::vector<bdd::Var>> quantification_schedule() const;
-  std::size_t cluster_node_cap() const { return cap_; }
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
-  /// The cluster firing order and per-position quantification sets.
-  const ConjunctSchedule& schedule() const { return schedule_; }
+  /// The clusters in firing order; cluster c is unit c.
+  const std::vector<RelationCluster>& clusters() const { return clusters_; }
 
  protected:
   void on_reorder() override;
 
  private:
-  std::size_t unit_cluster(std::size_t u) const {
-    return schedule_.positions[u].conjunct;
-  }
-  bdd::Bdd apply_cluster(const bdd::Bdd& states, const RelationCluster& c);
-
-  std::size_t cap_;
-  ScheduleKind schedule_kind_;
-  std::vector<TransitionRelation> sparse_;       // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;    // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // cluster firing order + quant sets
   const SparseApplyData& sparse_apply(pn::TransitionId t);
+
+  std::vector<TransitionRelation> sparse_;     // indexed by transition
+  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
+  std::vector<RelationCluster> clusters_;      // in firing order
 };
 
-/// Builds the requested backend. The relational backends throw ModelError
-/// unless `sym` was built with primed variables.
+/// Builds the requested backend. The relational and saturation backends
+/// throw ModelError unless `sym` was built with primed variables.
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
                                          const EngineOptions& options = {});
-
-/// Compatibility alias: the class previously living in core/relation.hpp.
-using RelationalEngine = MonolithicRelationEngine;
 
 }  // namespace stgcheck::core

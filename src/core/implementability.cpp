@@ -83,8 +83,11 @@ ImplementabilityReport check_implementability(SymbolicStg& sym,
   }
   const bdd::Bdd& reached = report.traversal.reached;
 
-  report.deadlock_states_count = sym.count_states(deadlock_states(sym, reached));
-  report.deadlock_free = report.deadlock_states_count == 0;
+  // Decided by emptiness, never by the count: past ~1023 BDD variables a
+  // non-empty set counts as inf.
+  const bdd::Bdd deadlocks = deadlock_states(sym, reached);
+  report.deadlock_free = deadlocks.is_false();
+  report.deadlock_states_count = sym.count_states(deadlocks);
   verdict("deadlock_free", report.deadlock_free,
           report.deadlock_free
               ? std::string()

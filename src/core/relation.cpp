@@ -187,6 +187,36 @@ std::vector<RelationCluster> cluster_relations(
   return clusters;
 }
 
+std::vector<std::size_t> support_overlap_order(
+    const std::vector<std::vector<Var>>& supports) {
+  const std::size_t n = supports.size();
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  std::vector<bool> placed(n, false);
+  FlatSet<Var> seen;
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t best = n;
+    std::size_t best_overlap = 0;
+    std::size_t best_new = 0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (placed[c]) continue;
+      std::size_t overlap = 0;
+      for (Var v : supports[c]) overlap += seen.count(v);
+      const std::size_t fresh = supports[c].size() - overlap;
+      if (best == n || overlap > best_overlap ||
+          (overlap == best_overlap && fresh < best_new)) {
+        best = c;
+        best_overlap = overlap;
+        best_new = fresh;
+      }
+    }
+    placed[best] = true;
+    order.push_back(best);
+    seen.insert(supports[best].begin(), supports[best].end());
+  }
+  return order;
+}
+
 std::vector<RelationCluster> singleton_clusters(
     SymbolicStg& sym, const std::vector<TransitionRelation>& sparse) {
   require_primed(sym);
@@ -229,26 +259,6 @@ RelationTemplates detect_relation_templates(
     }
   }
   return result;
-}
-
-Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t) {
-  require_primed(sym);
-  return build_full_relation(sym, build_sparse_relation(sym, t));
-}
-
-Bdd build_full_relation(SymbolicStg& sym, const TransitionRelation& sparse) {
-  require_primed(sym);
-  // Frame every state variable the transition does not touch.
-  std::vector<Var> untouched;
-  std::vector<Var> state_vars = sym.place_var_list();
-  const std::vector<Var> signals = sym.signal_var_list();
-  state_vars.insert(state_vars.end(), signals.begin(), signals.end());
-  for (Var v : state_vars) {
-    if (!std::binary_search(sparse.support.begin(), sparse.support.end(), v)) {
-      untouched.push_back(v);
-    }
-  }
-  return sparse.rel & frame_constraint(sym, untouched);
 }
 
 }  // namespace stgcheck::core

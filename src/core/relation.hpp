@@ -3,31 +3,22 @@
 //
 // The paper's image operator never builds a relation -- delta_N is four
 // cube operations -- which is one of its contributions. This module lets
-// that claim be tested against *fair* relational baselines rather than a
+// that claim be tested against a *fair* relational baseline rather than a
 // strawman, and it is the door to encodings the cofactor trick cannot
 // express (k-bounded places, multi-token arcs): those only need a
 // different relation builder behind the same ImageEngine interface.
 //
-// Two flavours of per-transition relation are built here:
-//
-//   * full:   T_t(V, V') = E(t) /\ preset empty after /\ postset empty
-//             before (safeness premise) /\ postset full after /\ signal
-//             flip /\ frame over *every* untouched variable. ORing these
-//             yields the classic monolithic relation; its image is
-//             image(S) = (exists V : S /\ T)[V' := V].
-//
-//   * sparse: the same constraints but *no* frame conjuncts -- the
-//             relation only mentions the variables the transition touches
-//             (preset/postset places and the fired signal). Its image
-//             quantifies and renames only that support; untouched
-//             variables flow through S unchanged, which is the frame
-//             condition for free. Sparse relations are what the
-//             partitioned backend clusters: ORing two sparse relations is
-//             only sound after padding each with the frame of the other's
-//             support (see PartitionedRelationEngine), so clustering by
-//             shared support keeps the padding -- and the cluster BDDs --
-//             small, and gives each cluster a minimal early-quantification
-//             cube.
+// Relations here are *sparse*: a transition's relation carries no frame
+// conjuncts and only mentions the variables the transition touches
+// (preset/postset places and the fired signal). Its image quantifies and
+// renames only that support; untouched variables flow through S
+// unchanged, which is the frame condition for free. ORing two sparse
+// relations is only sound after padding each with the frame of the
+// other's support (cluster_relations), so clustering by shared support
+// keeps the padding -- and the cluster BDDs -- small, and gives each
+// cluster a minimal early-quantification cube. Padding a relation with
+// the frame of *every* untouched variable yields the textbook full-frame
+// relation; the relational engine never builds one.
 #pragma once
 
 #include <vector>
@@ -45,19 +36,10 @@ struct TransitionRelation {
   std::vector<bdd::Var> support;
   /// Conjunctive factorization of `rel`: one primitive constraint per
   /// touched place (the token move over (p, p')) plus one for the fired
-  /// signal's flip. Scheduled engines hand these to the n-ary kernel
-  /// (Manager::and_exists_multi) unconjoined, so `rel` never has to be
-  /// built up front on that path.
+  /// signal's flip. The relational engine hands these to the n-ary kernel
+  /// (Manager::and_exists_multi) unconjoined.
   std::vector<bdd::Bdd> factors;
 };
-
-/// Full-frame relation of one transition (constrains every state variable).
-/// Requires an encoding built with primed variables.
-bdd::Bdd build_full_relation(SymbolicStg& sym, pn::TransitionId t);
-/// Same, from an already-built sparse relation -- callers that construct
-/// the sparse list anyway (the bounded-lookahead fallback's prediction
-/// pass) must not pay for rebuilding it.
-bdd::Bdd build_full_relation(SymbolicStg& sym, const TransitionRelation& sparse);
 
 /// Frame-free relation of one transition: constraints only over the
 /// variables `t` touches. Requires primed variables.
@@ -70,7 +52,7 @@ bdd::Bdd frame_constraint(SymbolicStg& sym, const std::vector<bdd::Var>& vars);
 /// One support-clustered group of sparse relations plus everything an
 /// image/preimage step needs: the cluster relation (disjunction of padded
 /// members), its quantification cubes and the support-local rename map.
-/// Shared by the partitioned engine and the scheduled monolithic path.
+/// Shared by the relational and saturation engines.
 struct RelationCluster {
   std::vector<pn::TransitionId> transitions;
   bdd::Bdd rel;
@@ -95,6 +77,17 @@ struct RelationCluster {
 std::vector<RelationCluster> cluster_relations(
     SymbolicStg& sym, const std::vector<TransitionRelation>& sparse,
     std::size_t cap);
+
+/// The firing order of a cluster list, as indices into `supports` (each
+/// free of duplicates): greedily append the unplaced cluster sharing the
+/// most variables with those already placed; ties prefer the cluster
+/// introducing the fewest new variables, then the lowest index, so the
+/// first pick is the smallest support. The order changes no image BDD --
+/// each cluster quantifies exactly its own support -- but consecutive
+/// products stay on warm computed-cache entries and, under chaining,
+/// fresh states reach the clusters most likely to fire from them first.
+std::vector<std::size_t> support_overlap_order(
+    const std::vector<std::vector<bdd::Var>>& supports);
 
 /// One singleton cluster per transition, no merging -- and hence none of
 /// the padded-disjunction construction cost merging pays (select24's

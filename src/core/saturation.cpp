@@ -36,9 +36,7 @@ std::vector<LevelClusterInfo> level_partition(
 
 SaturationEngine::SaturationEngine(SymbolicStg& sym,
                                    const EngineOptions& options)
-    : ImageEngine(sym),
-      schedule_kind_(options.schedule),
-      template_mode_(options.relation_templates) {
+    : ImageEngine(sym), template_mode_(options.relation_templates) {
   const pn::PetriNet& net = sym.stg().net();
   sparse_.reserve(net.transition_count());
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
@@ -50,15 +48,6 @@ SaturationEngine::SaturationEngine(SymbolicStg& sym,
   // of merged clusters (select24: ~350k transient live nodes) would
   // dominate the whole fixpoint's footprint.
   clusters_ = singleton_clusters(sym, sparse_);
-  std::vector<std::vector<Var>> supports;
-  supports.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) {
-    supports.push_back(c.support);
-    if (schedule_kind_ != ScheduleKind::kNone) {
-      stats_.scheduled_conjuncts += c.factors.size();
-    }
-  }
-  schedule_ = ConjunctSchedule::disjunctive(supports, schedule_kind_);
   stats_.units = clusters_.size();
 
   if (template_mode_ != TemplateMode::kOff) {
@@ -198,9 +187,8 @@ Bdd SaturationEngine::image_unit(const Bdd& states, std::size_t u) {
   sync_with_order();
   ++stats_.image_calls;
   StepGauge gauge(*this);
-  const std::size_t c = unit_cluster(u);
-  return sym_.manager().rel_next(states, instance_rel(c),
-                                 clusters_[c].quant_cube);
+  return sym_.manager().rel_next(states, instance_rel(u),
+                                 clusters_[u].quant_cube);
 }
 
 const SparseApplyData& SaturationEngine::sparse_apply(pn::TransitionId t) {

@@ -1,10 +1,10 @@
 // The saturation subsystem: the core half of the in-kernel REACH fixpoint.
 //
-// The paper's traversal -- and all three step-wise backends -- computes
+// The paper's traversal -- and both step-wise backends -- computes
 // the reached set as a global breadth-first/chaining fixpoint: frontier
 // BDDs spanning the whole state space are materialized once per pass,
 // which is exactly where the peak-live blowups live (mread8 chaining
-// 1.09M, partitioned+sift 3.86M). Saturation pushes the fixpoint *into*
+// 1.31M, relational+sift 7.34M). Saturation pushes the fixpoint *into*
 // the BDD recursion (bdd::Manager::reach, after Brand-Baeck-Laarman,
 // arXiv:2212.03684): relations are partitioned by the current level of
 // their top support variable, and the kernel saturates the substates
@@ -15,7 +15,7 @@
 // This module owns the core-side half of that split:
 //
 //   * level_partition() orders the sparse relation clusters (the same
-//     RelationCluster machinery the partitioned engine uses; per-level
+//     RelationCluster machinery the relational engine uses; per-level
 //     clustering in the spirit of Appold's isomorphism-exploiting
 //     partitioning, arXiv:1106.1229) by top support level. The partition
 //     depends on the *current* variable order, so it is rebuilt on every
@@ -51,7 +51,7 @@ struct LevelClusterInfo {
 std::vector<LevelClusterInfo> level_partition(
     const bdd::Manager& manager, const std::vector<RelationCluster>& clusters);
 
-/// The fourth image backend: whole-space reachability through the
+/// The third image backend: whole-space reachability through the
 /// kernel's REACH operation. Requires an encoding with primed variables
 /// (the twin-pair layout is what the kernel's positional rename relies
 /// on). Step-wise images for the checks run on the same clusters: the
@@ -74,16 +74,13 @@ class SaturationEngine final : public ImageEngine {
   bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
   // Units exist for the checks and for callers that step manually; the
-  // traversal itself never iterates them (computes_global_fixpoint). They
-  // follow the engine's disjunctive ConjunctSchedule, exactly like the
-  // partitioned backend's.
+  // traversal itself never iterates them (computes_global_fixpoint). Unit
+  // u is cluster u, in construction (transition) order.
   std::size_t unit_count() const override { return clusters_.size(); }
   const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[unit_cluster(u)].transitions;
+    return clusters_[u].transitions;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
-
-  ScheduleKind schedule_kind() const override { return schedule_kind_; }
 
   // ---- Introspection (tests, benches, docs) ------------------------------
 
@@ -111,9 +108,6 @@ class SaturationEngine final : public ImageEngine {
   void on_reorder() override;
 
  private:
-  std::size_t unit_cluster(std::size_t u) const {
-    return schedule_.positions[u].conjunct;
-  }
   const SparseApplyData& sparse_apply(pn::TransitionId t);
   /// Cluster c's relation BDD: its own body when it has one, the group
   /// template instantiated at c's position (memoized permute) when
@@ -124,12 +118,10 @@ class SaturationEngine final : public ImageEngine {
   void refresh_node_stats();
   void rebuild_partition();
 
-  ScheduleKind schedule_kind_;
   TemplateMode template_mode_;
   std::vector<TransitionRelation> sparse_;     // indexed by transition
   std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
   std::vector<RelationCluster> clusters_;
-  ConjunctSchedule schedule_;  // unit firing order + quant sets
   std::vector<LevelClusterInfo> partition_;
   /// The clusters as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;

@@ -268,7 +268,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         pass_new |= fresh;
         if (options.strategy == TraversalStrategy::kChaining) {
           // Later units in this pass fire from the enriched set ("chaining";
-          // with the partitioned backend this is disjunctive chaining over
+          // with the relational backend this is disjunctive chaining over
           // clusters).
           fire_base |= fresh;
         }

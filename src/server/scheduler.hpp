@@ -8,10 +8,19 @@
 // thread running wave-based scheduling: the dispatcher sleeps until jobs
 // are queued, then drains the whole queue into one run_root() region,
 // forking one task per job and joining them all before looking at the
-// queue again. Jobs submitted mid-wave wait for the next wave. Coarse,
-// but exactly right for this workload: jobs are whole check sessions
-// (seconds, not microseconds), so wave granularity costs nothing and the
-// pool's work stealing balances sessions across workers within a wave.
+// queue again. The pool's work stealing balances sessions across workers
+// within a wave. Jobs submitted mid-wave wait for the next wave, so one
+// long session holds back every request behind it.
+//
+// That granularity is not free. A plain 4-worker FIFO queue, measured
+// against this scheduler on the perfbench daemon_mixed workload (4 session
+// threads, 4 closed-loop clients, each request cycle one long mutex48 check
+// plus 15 short ones; six alternating runs, seeds 501-506, 4-vCPU host),
+// raised the median throughput from 3.14 to 8.77 checks/s and cut the
+// median p90 latency from 4.58 s to 0.20 s -- but peak RSS rose from
+// 223-296 MB to 439-459 MB on every run, because long mutex48 sessions
+// then overlap. The waves are what bound the daemon's memory today: a
+// queue that replaces them needs a memory-aware admission design first.
 //
 // Kernel-thread interaction (the scheduler/quiescence rule, see
 // docs/architecture.md): TaskPool's worker index is a plain thread_local

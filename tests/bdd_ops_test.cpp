@@ -178,6 +178,14 @@ TEST_F(BddOps, SatCountSmall) {
   EXPECT_DOUBLE_EQ(m.sat_count(a | b | c | d), 15.0);
 }
 
+TEST(SatCount, EmptySetIsZeroPastDoubleRange) {
+  // 2^1100 overflows a double; the empty set must still count 0, not
+  // 0 x inf = NaN.
+  Manager big;
+  for (int v = 0; v < 1100; ++v) big.new_var();
+  EXPECT_EQ(big.sat_count(big.bdd_false()), 0.0);
+}
+
 TEST_F(BddOps, SatCountOverSubset) {
   EXPECT_DOUBLE_EQ(m.sat_count_over(a & b, {0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(m.sat_count_over(a | b, {0, 1, 2}), 6.0);

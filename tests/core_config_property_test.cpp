@@ -26,8 +26,7 @@ CheckConfig random_config(std::mt19937& rng) {
   CheckConfig config;
   config.check.ordering = static_cast<Ordering>(pick(5));
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
-  config.check.engine = static_cast<EngineKind>(pick(4));
-  config.check.engine_options.schedule = static_cast<ScheduleKind>(pick(3));
+  config.check.engine = static_cast<EngineKind>(pick(3));
   config.check.engine_options.threads = 1 + static_cast<std::size_t>(pick(8));
   config.check.engine_options.relation_templates =
       static_cast<TemplateMode>(pick(3));
@@ -90,13 +89,35 @@ TEST(CheckConfigProperty, TokenNeverSerializes) {
   EXPECT_EQ(config, CheckConfig{});
 }
 
-TEST(CheckConfigProperty, UnknownKeysAndFlagsAreRejected) {
-  Value obj = Value::object();
-  obj.set("orderng", Value(std::string("interleaved")));  // typo'd key
-  EXPECT_THROW(CheckConfig::from_json(obj), ModelError);
+/// Runs `parse`, which must throw ModelError whose message contains every
+/// one of `needles` -- a rejection has to name the valid choices.
+template <typename Parse>
+void expect_rejected_naming(Parse parse,
+                            const std::vector<std::string>& needles) {
+  try {
+    parse();
+    ADD_FAILURE() << "accepted; expected a ModelError";
+  } catch (const ModelError& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "'" << e.what() << "' does not name " << needle;
+    }
+  }
+}
 
-  EXPECT_THROW(CheckConfig::from_args({"--orderng", "interleaved"}),
-               ModelError);
+TEST(CheckConfigProperty, UnknownKeysAndFlagsAreRejected) {
+  // A typo'd key, and the retired conjunct-schedule option.
+  for (const char* key : {"orderng", "schedule"}) {
+    Value obj = Value::object();
+    obj.set(key, Value(std::string("support_overlap")));
+    expect_rejected_naming([&] { CheckConfig::from_json(obj); },
+                           {key, "engine", "relation_templates"});
+  }
+  for (const char* flag : {"--orderng", "--schedule"}) {
+    expect_rejected_naming(
+        [&] { CheckConfig::from_args({flag, "support-overlap"}); },
+        {flag, "--engine", "--relation-templates"});
+  }
   EXPECT_THROW(CheckConfig::from_args({"not-a-flag"}), ModelError);
 }
 
@@ -109,7 +130,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
   bad_json("ordering", Value(std::string("sideways")));
   bad_json("strategy", Value(std::string("guess")));
   bad_json("engine", Value(std::string("steam")));
-  bad_json("schedule", Value(std::string("sometimes")));
   bad_json("relation_templates", Value(std::string("maybe")));
   bad_json("threads", Value(0.0));
   bad_json("threads", Value(1.5));
@@ -128,6 +148,17 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
 
   EXPECT_THROW(CheckConfig::from_args({"--relation-templates", "perhaps"}),
                ModelError);
+  // The retired relational engine names fail on both paths and list the
+  // engines that exist.
+  for (const char* engine : {"monolithic", "partitioned"}) {
+    const std::vector<std::string> valid = {
+        engine, "cofactor, relational, saturation"};
+    expect_rejected_naming(
+        [&] { CheckConfig::from_args({"--engine", engine}); }, valid);
+    Value obj = Value::object();
+    obj.set("engine", Value(std::string(engine)));
+    expect_rejected_naming([&] { CheckConfig::from_json(obj); }, valid);
+  }
   EXPECT_THROW(CheckConfig::from_args({"--threads", "zero"}), ModelError);
   EXPECT_THROW(CheckConfig::from_args({"--threads"}), ModelError);  // no value
   EXPECT_THROW(CheckConfig::from_args({"--max-seconds", "-2"}), ModelError);
@@ -138,13 +169,11 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
 TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
-      {"--ordering", "signals-first", "--engine", "partitioned",
-       "--schedule", "support-overlap", "--relation-templates", "auto",
-       "--max-live-nodes", "4096"});
+      {"--ordering", "signals-first", "--engine", "relational",
+       "--relation-templates", "auto", "--max-live-nodes", "4096"});
   Value obj = Value::object();
   obj.set("ordering", Value(std::string("signals_first")));
-  obj.set("engine", Value(std::string("partitioned")));
-  obj.set("schedule", Value(std::string("support_overlap")));
+  obj.set("engine", Value(std::string("relational")));
   obj.set("relation_templates", Value(std::string("auto")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));

@@ -213,8 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
     NetsTimesEngines, EngineCrossValidation,
     ::testing::Combine(::testing::Range(0, kNetCount),
                        ::testing::Values(EngineKind::kCofactor,
-                                         EngineKind::kMonolithicRelation,
-                                         EngineKind::kPartitionedRelation,
+                                         EngineKind::kRelational,
                                          EngineKind::kSaturation)));
 
 // ---------------------------------------------------------------------------

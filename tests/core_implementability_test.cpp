@@ -1,6 +1,8 @@
 // The top-level implementability verdicts (Def. 2.6 hierarchy).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/implementability.hpp"
 #include "stg/generators.hpp"
 
@@ -25,11 +27,39 @@ TEST(Implementability, MasterReadIsGateImplementable) {
   EXPECT_EQ(r.level, ImplementabilityLevel::kGateImplementable);
 }
 
+/// Every verdict of a report, in a fixed order, for whole-report equality.
+std::vector<bool> verdicts(const ImplementabilityReport& r) {
+  return {r.safe, r.consistent, r.signal_persistent, r.deterministic,
+          r.fake_free, r.usc, r.csc, r.csc_reducible, r.deadlock_free};
+}
+
 TEST(Implementability, SelectChainGateImplementableWithoutUsc) {
-  ImplementabilityReport r = check_implementability(stg::select_chain(3));
-  EXPECT_EQ(r.level, ImplementabilityLevel::kGateImplementable);
-  EXPECT_FALSE(r.usc);
-  EXPECT_TRUE(r.csc);
+  // The select tiers share one verdict set at every size. select96 under
+  // saturation has over 1023 BDD variables, where a state count overflows
+  // to inf: verdicts must come from BDD emptiness, and an empty set must
+  // count 0, not 0 x inf = NaN.
+  const ImplementabilityReport small =
+      check_implementability(stg::select_chain(3));
+  CheckOptions saturation;
+  saturation.engine = EngineKind::kSaturation;
+  const struct {
+    const char* name;
+    CheckOptions options;
+  } rows[] = {
+      {"select24", {}},
+      {"select24", saturation},
+      {"select96", saturation},
+  };
+  for (const auto& row : rows) {
+    const ImplementabilityReport r = check_implementability(
+        stg::make_family_instance(row.name), row.options);
+    EXPECT_EQ(r.level, ImplementabilityLevel::kGateImplementable) << row.name;
+    EXPECT_EQ(verdicts(r), verdicts(small)) << row.name;
+    EXPECT_EQ(r.deadlock_states_count, 0.0) << row.name;
+  }
+  EXPECT_FALSE(small.usc);
+  EXPECT_TRUE(small.csc);
+  EXPECT_TRUE(small.deadlock_free);
 }
 
 TEST(Implementability, MutexNeedsArbitrationDeclared) {

@@ -143,8 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
     NetsTimesEngines, EngineReorder,
     ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values(EngineKind::kCofactor,
-                                         EngineKind::kMonolithicRelation,
-                                         EngineKind::kPartitionedRelation)));
+                                         EngineKind::kRelational)));
 
 // ---------------------------------------------------------------------------
 // Property: forced sifting never changes the fixed point (satellite of the
@@ -157,9 +156,7 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
   Rng rng(0x5EEDED);
   for (int trial = 0; trial < 8; ++trial) {
     const stg::Stg s = testutil::random_stg(rng);
-    for (EngineKind kind :
-         {EngineKind::kCofactor, EngineKind::kMonolithicRelation,
-          EngineKind::kPartitionedRelation}) {
+    for (EngineKind kind : {EngineKind::kCofactor, EngineKind::kRelational}) {
       SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                       /*with_primed_vars=*/true);
       const std::unique_ptr<ImageEngine> engine = make_engine(kind, sym);

@@ -57,15 +57,15 @@ TEST(SaturationProperty, RelNextImageMatchesClassicSparseProduct) {
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
     SaturationEngine sat(sym);              // image_via runs rel_next
-    PartitionedRelationEngine part(sym);    // image_via runs and_exists+permute
+    RelationalEngine relational(sym);       // image_via runs and_exists+permute
     // Walk a few frontier steps so the compared state sets are nontrivial.
     Bdd states = sym.initial_state();
     for (int step = 0; step < 3; ++step) {
       for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-        EXPECT_EQ(sat.image_via(states, t), part.image_via(states, t))
+        EXPECT_EQ(sat.image_via(states, t), relational.image_via(states, t))
             << "trial " << trial << " step " << step << " t " << t;
       }
-      states |= part.image(states);
+      states |= relational.image(states);
     }
     sym.manager().check_invariants();
   }
@@ -209,7 +209,7 @@ TEST(SaturationTemplates, ScaledFamiliesShareMostRelationNodes) {
 TEST(SaturationTemplates, InstantiatedImagesMatchClassicProduct) {
   // Per-transition images route through instance_rel (the memoized
   // permute of the template body); they must agree with the classic
-  // partitioned sparse product transition by transition.
+  // relational sparse product transition by transition.
   stg::Stg s = stg::muller_pipeline(6);
   SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
@@ -217,16 +217,17 @@ TEST(SaturationTemplates, InstantiatedImagesMatchClassicProduct) {
   on_options.relation_templates = TemplateMode::kOn;
   SaturationEngine sat(sym, on_options);
   ASSERT_TRUE(sat.templates_active());
-  PartitionedRelationEngine part(sym);
+  RelationalEngine relational(sym);
   Bdd states = sym.initial_state();
   for (int step = 0; step < 4; ++step) {
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      EXPECT_EQ(sat.image_via(states, t), part.image_via(states, t))
+      EXPECT_EQ(sat.image_via(states, t), relational.image_via(states, t))
           << "step " << step << " t " << t;
-      EXPECT_EQ(sat.preimage_via(states, t), part.preimage_via(states, t))
+      EXPECT_EQ(sat.preimage_via(states, t),
+                relational.preimage_via(states, t))
           << "step " << step << " t " << t;
     }
-    states |= part.image(states);
+    states |= relational.image(states);
   }
   sym.manager().check_invariants();
 }

@@ -1,26 +1,21 @@
-// Conjunct scheduling: the builder's last-use invariant (every quantifiable
-// variable quantified exactly once, at the last conjunct whose support
-// contains it -- a naive quantify-everything-at-the-end plan must fail
-// validation), the equivalence of the schedule-driven binary fold with the
-// n-ary kernel on real STG relations, and the acceptance sweep: every
-// relational engine with a schedule reaches the exact same BDD and state
-// count as the unscheduled backends on every example net.
+// Relational scheduling: the support-overlap firing order is a greedy
+// permutation of the cluster list, the n-ary kernel equals the binary
+// relational product on real STG relations, and the acceptance sweep: the
+// relational engine reaches the exact same BDD and state count as the
+// cofactor pipeline on every example net, with identical images and
+// preimages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
-#include <memory>
-#include <set>
 #include <vector>
 
-#include "core/conjunct_schedule.hpp"
 #include "core/image_engine.hpp"
 #include "core/relation.hpp"
+#include "core/saturation.hpp"
 #include "core/traversal.hpp"
 #include "example_nets.hpp"
 #include "random_stg.hpp"
 #include "stg/generators.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace stgcheck::core {
@@ -29,147 +24,59 @@ namespace {
 using bdd::Bdd;
 using bdd::Var;
 
-std::vector<std::vector<Var>> random_supports(Rng& rng) {
-  const std::size_t n = 1 + rng.below(8);
-  std::vector<std::vector<Var>> supports(n);
-  for (std::vector<Var>& s : supports) {
-    const std::size_t width = 1 + rng.below(5);
-    for (std::size_t i = 0; i < width; ++i) {
-      s.push_back(static_cast<Var>(rng.below(12)));
-    }
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
-  return supports;
-}
-
-std::vector<Var> union_of(const std::vector<std::vector<Var>>& supports) {
-  std::set<Var> all;
-  for (const std::vector<Var>& s : supports) all.insert(s.begin(), s.end());
-  return {all.begin(), all.end()};
-}
-
 // ---------------------------------------------------------------------------
-// The schedule builder invariant
+// The support-overlap order
 // ---------------------------------------------------------------------------
 
-TEST(ConjunctScheduleBuilder, EveryKindSchedulesEveryConjunctOnce) {
+TEST(SupportOverlapOrder, IsAPermutationOfTheClusters) {
   Rng rng(0x5EED);
   for (int trial = 0; trial < 20; ++trial) {
-    const std::vector<std::vector<Var>> supports = random_supports(rng);
-    for (ScheduleKind kind :
-         {ScheduleKind::kNone, ScheduleKind::kSupportOverlap,
-          ScheduleKind::kBoundedLookahead}) {
-      const ConjunctSchedule schedule =
-          ConjunctSchedule::conjunctive(supports, union_of(supports), kind);
-      ASSERT_EQ(schedule.size(), supports.size());
-      std::vector<int> seen(supports.size(), 0);
-      for (const ConjunctSchedule::Position& p : schedule.positions) {
-        ++seen[p.conjunct];
+    const std::size_t n = rng.below(9);
+    std::vector<std::vector<Var>> supports(n);
+    for (std::vector<Var>& s : supports) {
+      const std::size_t width = 1 + rng.below(5);
+      for (std::size_t i = 0; i < width; ++i) {
+        s.push_back(static_cast<Var>(rng.below(12)));
       }
-      for (std::size_t c = 0; c < supports.size(); ++c) {
-        EXPECT_EQ(seen[c], 1) << to_string(kind) << " conjunct " << c;
-      }
+      std::sort(s.begin(), s.end());
+      s.erase(std::unique(s.begin(), s.end()), s.end());
+    }
+    std::vector<std::size_t> order = support_overlap_order(supports);
+    ASSERT_EQ(order.size(), n) << "trial " << trial;
+    std::sort(order.begin(), order.end());
+    for (std::size_t c = 0; c < n; ++c) {
+      EXPECT_EQ(order[c], c) << "trial " << trial;
     }
   }
 }
 
-TEST(ConjunctScheduleBuilder, LastUseInvariantHoldsForEveryKind) {
-  Rng rng(0xFACADE);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::vector<std::vector<Var>> supports = random_supports(rng);
-    const std::vector<Var> quantifiable = union_of(supports);
-    for (ScheduleKind kind :
-         {ScheduleKind::kNone, ScheduleKind::kSupportOverlap,
-          ScheduleKind::kBoundedLookahead}) {
-      const ConjunctSchedule schedule =
-          ConjunctSchedule::conjunctive(supports, quantifiable, kind);
-      // The builder's own validation...
-      EXPECT_NO_THROW(schedule.validate_conjunctive(supports, quantifiable));
-      // ...and an independent recomputation: each variable sits at the
-      // last position whose support contains it, and nowhere else.
-      for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
-        for (Var v : schedule.positions[pos].quantify) {
-          const std::vector<Var>& sup =
-              supports[schedule.positions[pos].conjunct];
-          EXPECT_TRUE(std::find(sup.begin(), sup.end(), v) != sup.end());
-          for (std::size_t later = pos + 1; later < schedule.size(); ++later) {
-            const std::vector<Var>& lsup =
-                supports[schedule.positions[later].conjunct];
-            EXPECT_TRUE(std::find(lsup.begin(), lsup.end(), v) == lsup.end())
-                << "v" << v << " is quantified at position " << pos
-                << " but still used at position " << later;
-          }
-        }
-      }
-    }
-  }
+TEST(SupportOverlapOrder, GreedyMaxOverlapThenFewestNewThenLowestIndex) {
+  // Nothing is placed yet, so the smallest support opens ({5}, index 0
+  // beats {0}, index 2). Neither {1,2} nor {2,3} overlaps {5, 0}; both add
+  // two variables, so the lower index goes first, and {2,3} then shares 2.
+  const std::vector<std::vector<Var>> supports = {{5}, {1, 2}, {0}, {2, 3}};
+  EXPECT_EQ(support_overlap_order(supports),
+            (std::vector<std::size_t>{0, 2, 1, 3}));
+  // A chain is followed link by link from its smallest end.
+  const std::vector<std::vector<Var>> chain = {{3, 4, 5}, {0, 1}, {1, 2, 3}};
+  EXPECT_EQ(support_overlap_order(chain), (std::vector<std::size_t>{1, 2, 0}));
 }
 
-TEST(ConjunctScheduleBuilder, NaiveQuantifyAtTheEndFailsValidation) {
-  // The schedule the whole mechanism exists to avoid: keep every variable
-  // alive through the entire fold and quantify the lot at the last
-  // conjunct. Unless every variable happens to live in the last support,
-  // that plan is not a last-use schedule and validation must reject it.
-  const std::vector<std::vector<Var>> supports = {{0, 1}, {1, 2}, {2, 3}};
-  const std::vector<Var> quantifiable = {0, 1, 2, 3};
-  ConjunctSchedule naive;
-  naive.positions.resize(supports.size());
-  for (std::size_t c = 0; c < supports.size(); ++c) {
-    naive.positions[c].conjunct = c;
-  }
-  naive.positions.back().quantify = quantifiable;
-  EXPECT_THROW(naive.validate_conjunctive(supports, quantifiable), ModelError);
-
-  // Quantifying a variable before its last use is just as wrong.
-  ConjunctSchedule premature;
-  premature.positions.resize(supports.size());
-  for (std::size_t c = 0; c < supports.size(); ++c) {
-    premature.positions[c].conjunct = c;
-  }
-  premature.positions[0].quantify = {0, 1};  // 1 is still used at position 1
-  premature.positions[1].quantify = {2};     // 2 is still used at position 2
-  premature.positions[2].quantify = {3};
-  EXPECT_THROW(premature.validate_conjunctive(supports, quantifiable),
-               ModelError);
-
-  // The builder's own output passes.
-  const ConjunctSchedule good = ConjunctSchedule::conjunctive(
-      supports, quantifiable, ScheduleKind::kNone);
-  EXPECT_NO_THROW(good.validate_conjunctive(supports, quantifiable));
-  // ... and for this chain it is the expected plan: 0 closes at conjunct
-  // 0, 1 at conjunct 1, and 2 and 3 at conjunct 2.
-  EXPECT_EQ(good.positions[0].quantify, (std::vector<Var>{0}));
-  EXPECT_EQ(good.positions[1].quantify, (std::vector<Var>{1}));
-  EXPECT_EQ(good.positions[2].quantify, (std::vector<Var>{2, 3}));
-}
-
-TEST(ConjunctScheduleBuilder, DisjunctiveQuantifiesOwnSupport) {
-  Rng rng(0xD15C);
-  const std::vector<std::vector<Var>> supports = random_supports(rng);
-  for (ScheduleKind kind :
-       {ScheduleKind::kNone, ScheduleKind::kSupportOverlap,
-        ScheduleKind::kBoundedLookahead}) {
-    const ConjunctSchedule schedule =
-        ConjunctSchedule::disjunctive(supports, kind);
-    ASSERT_EQ(schedule.size(), supports.size());
-    for (const ConjunctSchedule::Position& p : schedule.positions) {
-      EXPECT_EQ(p.quantify, supports[p.conjunct]);
-    }
-  }
-}
-
-TEST(ConjunctScheduleBuilder, NoneKeepsConstructionOrder) {
-  const std::vector<std::vector<Var>> supports = {{5}, {1, 2}, {0}};
-  const ConjunctSchedule schedule =
-      ConjunctSchedule::disjunctive(supports, ScheduleKind::kNone);
-  for (std::size_t pos = 0; pos < schedule.size(); ++pos) {
-    EXPECT_EQ(schedule.positions[pos].conjunct, pos);
+TEST(SupportOverlapOrder, SaturationKeepsConstructionOrder) {
+  // Only the relational engine reorders its clusters; the saturation
+  // engine's unit u stays transition u.
+  const stg::Stg s = stg::master_read(3);
+  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
+                  /*with_primed_vars=*/true);
+  SaturationEngine engine(sym);
+  ASSERT_EQ(engine.unit_count(), s.net().transition_count());
+  for (pn::TransitionId t = 0; t < engine.unit_count(); ++t) {
+    EXPECT_EQ(engine.unit_transitions(t), std::vector<pn::TransitionId>{t});
   }
 }
 
 // ---------------------------------------------------------------------------
-// Schedule-driven binary fold == n-ary kernel, on real STG relations
+// The n-ary kernel == the binary relational product, on real STG relations
 // ---------------------------------------------------------------------------
 
 TEST(ScheduledFold, MatchesNaryKernelOnRandomStgs) {
@@ -187,55 +94,28 @@ TEST(ScheduledFold, MatchesNaryKernelOnRandomStgs) {
 
     for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
       const TransitionRelation r = build_sparse_relation(sym, t);
-      std::vector<std::vector<Var>> supports;
-      for (const Bdd& f : r.factors) {
-        std::vector<Var> sup;
-        for (Var v : m.support(f)) {
-          // Factors mention (v, v') pairs; only the unprimed state
-          // variables are quantified by the image step.
-          if (std::binary_search(r.support.begin(), r.support.end(), v)) {
-            sup.push_back(v);
-          }
-        }
-        supports.push_back(sup);
-      }
-      for (ScheduleKind kind :
-           {ScheduleKind::kSupportOverlap, ScheduleKind::kBoundedLookahead}) {
-        const ConjunctSchedule schedule =
-            ConjunctSchedule::conjunctive(supports, r.support, kind);
-        schedule.validate_conjunctive(supports, r.support);
-
-        // The sequential fold the schedule licenses: conjoin in order,
-        // quantify each variable the moment its last conjunct is in.
-        Bdd acc = reached;
-        for (const ConjunctSchedule::Position& pos : schedule.positions) {
-          acc = m.and_exists(acc, r.factors[pos.conjunct],
-                             m.positive_cube(pos.quantify));
-        }
-
-        std::vector<Bdd> ops;
-        ops.push_back(reached);
-        ops.insert(ops.end(), r.factors.begin(), r.factors.end());
-        const Bdd multi =
-            m.and_exists_multi(ops, m.positive_cube(r.support));
-        m.check_invariants();
-        EXPECT_EQ(acc, multi) << "trial " << trial << " transition " << t
-                              << " kind " << to_string(kind);
-        // Both must equal the unscheduled product.
-        EXPECT_EQ(multi, m.and_exists(reached, r.rel,
-                                      m.positive_cube(r.support)));
-      }
+      std::vector<Bdd> ops;
+      ops.push_back(reached);
+      ops.insert(ops.end(), r.factors.begin(), r.factors.end());
+      const Bdd multi = m.and_exists_multi(ops, m.positive_cube(r.support));
+      m.check_invariants();
+      // The kernel quantifies each support variable at its last use; the
+      // result must equal the product over the conjoined relation.
+      EXPECT_EQ(multi,
+                m.and_exists(reached, r.rel, m.positive_cube(r.support)))
+          << "trial " << trial << " transition " << t;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled engines reach bit-identical fixed points on all example nets
+// The relational engine reaches bit-identical fixed points on all example
+// nets
 // ---------------------------------------------------------------------------
 
 class ScheduledEngines : public ::testing::TestWithParam<int> {};
 
-TEST_P(ScheduledEngines, IdenticalReachedSetOnEveryBackendAndSchedule) {
+TEST_P(ScheduledEngines, RelationalMatchesCofactorEverywhere) {
   const stg::Stg net = testutil::example_net(GetParam());
   SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
@@ -245,135 +125,27 @@ TEST_P(ScheduledEngines, IdenticalReachedSetOnEveryBackendAndSchedule) {
   CofactorEngine reference(sym);
   const TraversalResult ref = traverse(reference, topts);
 
-  for (EngineKind kind :
-       {EngineKind::kMonolithicRelation, EngineKind::kPartitionedRelation}) {
-    for (ScheduleKind schedule :
-         {ScheduleKind::kNone, ScheduleKind::kSupportOverlap,
-          ScheduleKind::kBoundedLookahead}) {
-      EngineOptions options;
-      options.schedule = schedule;
-      const std::unique_ptr<ImageEngine> engine =
-          make_engine(kind, sym, options);
-      const TraversalResult r = traverse(*engine, topts);
-      EXPECT_EQ(r.reached, ref.reached)
-          << engine->name() << " / " << to_string(schedule);
-      EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states)
-          << engine->name() << " / " << to_string(schedule);
+  RelationalEngine engine(sym);
+  const TraversalResult r = traverse(engine, topts);
+  EXPECT_EQ(r.reached, ref.reached);
+  EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states);
 
-      // Images and preimages of the fixed point agree pointwise too,
-      // including the per-transition entry points the firing checks use.
-      EXPECT_EQ(engine->image(ref.reached), reference.image(ref.reached))
-          << engine->name() << " / " << to_string(schedule);
-      EXPECT_EQ(engine->preimage(ref.reached), reference.preimage(ref.reached))
-          << engine->name() << " / " << to_string(schedule);
-      for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
-        EXPECT_EQ(engine->image_via(ref.reached, t),
-                  reference.image_via(ref.reached, t))
-            << engine->name() << " / " << to_string(schedule) << " t=" << t;
-        EXPECT_EQ(engine->preimage_via(ref.reached, t),
-                  reference.preimage_via(ref.reached, t))
-            << engine->name() << " / " << to_string(schedule) << " t=" << t;
-      }
-    }
+  // Images and preimages of the fixed point agree pointwise too,
+  // including the per-transition entry points the firing checks use.
+  EXPECT_EQ(engine.image(ref.reached), reference.image(ref.reached));
+  EXPECT_EQ(engine.preimage(ref.reached), reference.preimage(ref.reached));
+  for (pn::TransitionId t = 0; t < net.net().transition_count(); ++t) {
+    EXPECT_EQ(engine.image_via(ref.reached, t),
+              reference.image_via(ref.reached, t))
+        << "t=" << t;
+    EXPECT_EQ(engine.preimage_via(ref.reached, t),
+              reference.preimage_via(ref.reached, t))
+        << "t=" << t;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNets, ScheduledEngines,
                          ::testing::Range(0, testutil::kExampleNetCount));
-
-// ---------------------------------------------------------------------------
-// The scheduled monolithic engine never materializes its relation
-// ---------------------------------------------------------------------------
-
-TEST(ScheduledMonolithic, DoesNotMaterializeTheMonolithicRelation) {
-  const stg::Stg net = stg::select_chain(6);
-  // Unscheduled: the OR-accumulation of full-frame relations dominates the
-  // peak. Scheduled: it never happens.
-  SymbolicStg plain(net, Ordering::kInterleaved, 1 << 14, true);
-  MonolithicRelationEngine unscheduled(plain);
-  const std::size_t plain_peak = plain.manager().peak_live_nodes();
-
-  SymbolicStg sched_sym(net, Ordering::kInterleaved, 1 << 14, true);
-  EngineOptions options;
-  options.schedule = ScheduleKind::kSupportOverlap;
-  MonolithicRelationEngine scheduled(sched_sym, options);
-  const std::size_t sched_peak = sched_sym.manager().peak_live_nodes();
-
-  EXPECT_LT(sched_peak, plain_peak);
-  EXPECT_GT(scheduled.scheduled_cluster_count(), 0u);
-  EXPECT_EQ(scheduled.schedule_kind(), ScheduleKind::kSupportOverlap);
-  EXPECT_THROW(scheduled.monolithic(), ModelError);
-  EXPECT_THROW(scheduled.relation(0), ModelError);
-  // The unscheduled accessors still work.
-  EXPECT_NO_THROW(unscheduled.monolithic());
-  EXPECT_EQ(unscheduled.schedule_kind(), ScheduleKind::kNone);
-}
-
-// ---------------------------------------------------------------------------
-// The self-tuning bounded-lookahead fallback
-// ---------------------------------------------------------------------------
-
-TEST(ScheduleFallback, BoundedLookaheadFallsBackWhenConstructionIsCheap) {
-  const stg::Stg net = stg::master_read(4);
-  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14, true);
-  EngineOptions options;
-  options.schedule = ScheduleKind::kBoundedLookahead;
-  options.monolithic_fallback_nodes =
-      std::numeric_limits<std::size_t>::max();  // everything is "cheap"
-  MonolithicRelationEngine engine(sym, options);
-  EXPECT_TRUE(engine.schedule_fell_back());
-  EXPECT_GT(engine.predicted_construction_peak(), 0u);
-  // The engine now runs the unscheduled path for real: the relation is
-  // materialized and the effective schedule reads none.
-  EXPECT_EQ(engine.schedule_kind(), ScheduleKind::kNone);
-  EXPECT_NO_THROW(engine.monolithic());
-  EXPECT_EQ(engine.scheduled_cluster_count(), 0u);
-}
-
-TEST(ScheduleFallback, ZeroThresholdDisablesTheFallback) {
-  const stg::Stg net = stg::master_read(4);
-  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14, true);
-  EngineOptions options;
-  options.schedule = ScheduleKind::kBoundedLookahead;
-  options.monolithic_fallback_nodes = 0;
-  MonolithicRelationEngine engine(sym, options);
-  EXPECT_FALSE(engine.schedule_fell_back());
-  EXPECT_EQ(engine.schedule_kind(), ScheduleKind::kBoundedLookahead);
-  EXPECT_THROW(engine.monolithic(), ModelError);
-}
-
-TEST(ScheduleFallback, OtherScheduleKindsNeverFallBack) {
-  const stg::Stg net = stg::master_read(4);
-  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14, true);
-  EngineOptions options;
-  options.schedule = ScheduleKind::kSupportOverlap;
-  options.monolithic_fallback_nodes =
-      std::numeric_limits<std::size_t>::max();
-  MonolithicRelationEngine engine(sym, options);
-  EXPECT_FALSE(engine.schedule_fell_back());
-  EXPECT_EQ(engine.schedule_kind(), ScheduleKind::kSupportOverlap);
-}
-
-TEST(ScheduleFallback, FallenBackEngineMatchesTheUnscheduledOne) {
-  const stg::Stg net = stg::master_read(4);
-  SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14, true);
-  TraversalOptions topts;
-  topts.abort_on_violation = false;
-
-  MonolithicRelationEngine unscheduled(sym);
-  const TraversalResult ref = traverse(unscheduled, topts);
-
-  EngineOptions options;
-  options.schedule = ScheduleKind::kBoundedLookahead;
-  options.monolithic_fallback_nodes =
-      std::numeric_limits<std::size_t>::max();
-  MonolithicRelationEngine fallen(sym, options);
-  ASSERT_TRUE(fallen.schedule_fell_back());
-  const TraversalResult r = traverse(fallen, topts);
-  EXPECT_EQ(r.reached, ref.reached);
-  EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states);
-  EXPECT_EQ(fallen.monolithic(), unscheduled.monolithic());
-}
 
 // ---------------------------------------------------------------------------
 // Converged sifting plugs into the traversal without changing the answer

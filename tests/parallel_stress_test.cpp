@@ -65,13 +65,12 @@ TEST_P(ParallelStress, SaturationEngineIsThreadCountInvariant) {
   expect_thread_invariant_traversal(sym, options);
 }
 
-TEST_P(ParallelStress, ScheduledMonolithicEngineIsThreadCountInvariant) {
+TEST_P(ParallelStress, RelationalEngineIsThreadCountInvariant) {
   stg::Stg net = testutil::example_net(GetParam());
   SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
                   /*with_primed_vars=*/true);
   TraversalOptions options;
-  options.engine = EngineKind::kMonolithicRelation;
-  options.engine_options.schedule = ScheduleKind::kSupportOverlap;
+  options.engine = EngineKind::kRelational;
   expect_thread_invariant_traversal(sym, options);
 }
 

@@ -57,14 +57,14 @@ TEST(ServerProtocol, ParseCheckRequest) {
 
 TEST(ServerProtocol, ParseBatchWithPerNetOverrides) {
   const Request r = parse_request(
-      R"({"op":"batch","id":"b1","options":{"engine":"monolithic"},)"
+      R"({"op":"batch","id":"b1","options":{"engine":"relational"},)"
       R"("nets":[{"id":"a","net":"..."},)"
       R"({"id":"b","net":"...","options":{"engine":"cofactor"}}]})");
   EXPECT_EQ(r.op, Request::Op::kBatch);
   EXPECT_EQ(r.batch_id, "b1");
   ASSERT_EQ(r.checks.size(), 2u);
   EXPECT_EQ(r.checks[0].options.check.engine,
-            core::EngineKind::kMonolithicRelation);
+            core::EngineKind::kRelational);
   EXPECT_EQ(r.checks[1].options.check.engine, core::EngineKind::kCofactor);
 
   EXPECT_THROW(parse_request(R"({"op":"batch","id":"b"})"), ModelError);

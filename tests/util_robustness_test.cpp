@@ -1,5 +1,5 @@
 // Utility helpers, parser robustness against malformed input, the CLI
-// name parsers for --engine/--schedule/--threads (unknown values must fail
+// name parsers for --engine/--threads (unknown values must fail
 // with the full list of valid names, not a bare error), and a GC/cache
 // stress run
 // of the BDD manager.
@@ -75,56 +75,33 @@ TEST(Rng, BelowStaysInRange) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI name parsing: stg_check --engine / --schedule
+// CLI name parsing: stg_check --engine
 // ---------------------------------------------------------------------------
 
 TEST(CliNames, EngineKindsRoundTripThroughParse) {
   for (core::EngineKind kind :
-       {core::EngineKind::kCofactor, core::EngineKind::kMonolithicRelation,
-        core::EngineKind::kPartitionedRelation, core::EngineKind::kSaturation}) {
+       {core::EngineKind::kCofactor, core::EngineKind::kRelational,
+        core::EngineKind::kSaturation}) {
     const auto parsed = core::parse_engine_kind(core::to_string(kind));
     ASSERT_TRUE(parsed.has_value()) << core::to_string(kind);
     EXPECT_EQ(*parsed, kind);
   }
 }
 
-TEST(CliNames, ScheduleKindsRoundTripAndAcceptHyphens) {
-  for (core::ScheduleKind kind :
-       {core::ScheduleKind::kNone, core::ScheduleKind::kSupportOverlap,
-        core::ScheduleKind::kBoundedLookahead}) {
-    const auto parsed = core::parse_schedule_kind(core::to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << core::to_string(kind);
-    EXPECT_EQ(*parsed, kind);
-  }
-  // The CLI spells underscores as hyphens; both must parse.
-  EXPECT_EQ(core::parse_schedule_kind("support-overlap"),
-            core::ScheduleKind::kSupportOverlap);
-  EXPECT_EQ(core::parse_schedule_kind("bounded-lookahead"),
-            core::ScheduleKind::kBoundedLookahead);
-}
-
 TEST(CliNames, UnknownNamesAreRejectedNotGuessed) {
   EXPECT_FALSE(core::parse_engine_kind("bogus").has_value());
   EXPECT_FALSE(core::parse_engine_kind("").has_value());
   EXPECT_FALSE(core::parse_engine_kind("cofactorr").has_value());
-  EXPECT_FALSE(core::parse_schedule_kind("support").has_value());
-  EXPECT_FALSE(core::parse_schedule_kind("").has_value());
+  // The two relational engines this one replaced are gone, not aliased.
+  EXPECT_FALSE(core::parse_engine_kind("monolithic").has_value());
+  EXPECT_FALSE(core::parse_engine_kind("partitioned").has_value());
 }
 
 TEST(CliNames, ValidNameListsCoverEveryKind) {
   // The strings the CLI prints on an unknown value must name every kind,
   // so a user can recover without reading the source.
   const std::string engines = core::valid_engine_kind_names();
-  for (const char* name : {"cofactor", "monolithic", "partitioned",
-                           "saturation"}) {
-    EXPECT_NE(engines.find(name), std::string::npos) << name;
-  }
-  // The schedule list displays the hyphenated CLI spellings, matching the
-  // usage text (parsing accepts either form).
-  const std::string schedules = core::valid_schedule_kind_names();
-  for (const char* name : {"none", "support-overlap", "bounded-lookahead"}) {
-    EXPECT_NE(schedules.find(name), std::string::npos) << name;
-  }
+  EXPECT_EQ(engines, "cofactor, relational, saturation");
 }
 
 TEST(CliNames, ThreadCountsParseWithinKernelLimits) {
