@@ -17,18 +17,14 @@
 //
 // The sift toggle measures the reordering lever the paper never had:
 // variable groups keep each primed twin pair together, so even the
-// relational backends can reorder mid-traversal. The sift arms run
-// *converged* sifting (repeat passes until one buys < 1%): a single pass
-// settling in a poor local minimum is exactly the mread8 chaining+sift
-// regression the complement-edge rewrite exposed, and convergence is the
-// candidate fix -- the "reorders" column counts completed passes, so a
-// converged arm shows > 1 where it mattered. The between-pass GC and
-// watermark run on the same schedule in both arms (core::AutoSiftPolicy),
-// so comparing a "+sift" row against its baseline isolates what the
-// reordering itself buys. Expect wins where the traversal's working set
-// dominates and losses where sifting optimizes the persistent BDDs at the
-// expense of the relational image intermediates: dynamic reordering is a
-// lever, not a free lunch.
+// relational backends can reorder mid-traversal. The sift arms run the
+// single-pass sift stg_check runs by default; the "reorders" column counts
+// completed sifts. The between-pass GC and watermark run on the same
+// schedule in both arms (core::AutoSiftPolicy), so comparing a "+sift" row
+// against its baseline isolates what the reordering itself buys. Sifting
+// scores exact table sizes (swaps free dead nodes at once), so a reorder
+// never leaves more live nodes than it found. mread8 is the one classic
+// family large enough to trigger it.
 //
 // Every row reports peak_intermediate_nodes: the worst transient live-node
 // overhead of a single image/preimage step (peak inside the step minus
@@ -132,9 +128,6 @@ core::TraversalOptions arm_options(core::TraversalStrategy strategy,
   core::TraversalOptions options;
   options.strategy = strategy;
   options.auto_sift = sift;
-  // The sift arms run converged sifting: the candidate fix for a single
-  // pass settling in a poor local minimum (mread8 chaining+sift).
-  options.sift_converged = sift;
   return options;
 }
 

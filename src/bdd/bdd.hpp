@@ -79,6 +79,7 @@
 
 namespace stgcheck {
 class TraceRecorder;  // util/trace.hpp; the kernel only holds a pointer
+class TraceSpan;
 }
 
 namespace stgcheck::bdd {
@@ -476,15 +477,11 @@ class Manager {
 
   /// Sifts every variable to its locally best level (Rudell). Grouped
   /// variables (see group_vars) move as one block. Keeps each block within
-  /// `max_growth` times the best size seen while moving. Returns live node
-  /// count after reordering.
+  /// `max_growth` times the best size seen while moving. Positions are
+  /// scored by the exact live node count (swaps free dead nodes at once),
+  /// so the result never exceeds the live count after the entry GC.
+  /// Returns live node count after reordering.
   std::size_t sift(double max_growth = 1.2);
-  /// Repeats sift() passes until a pass improves the live node count by
-  /// less than 1% (capped at 8 passes as a safety valve). A single sift
-  /// pass settles in the first local minimum it finds; repeating lets
-  /// blocks react to their neighbours' new positions. Returns the live
-  /// node count after the last pass.
-  std::size_t sift_converged(double max_growth = 1.2);
   /// Reorders to exactly the given order (a permutation of all variables,
   /// listed top to bottom). Every registered group must stay contiguous
   /// and keep its internal order in the target; violations throw
@@ -909,8 +906,19 @@ class Manager {
   // Reordering internals (sift.cpp). A "block" is a registered group's
   // member list (top to bottom) or a singleton ungrouped variable; between
   // block moves every group is contiguous in its registered order.
-  std::size_t swap_levels(std::size_t upper_level);
+  void swap_levels(std::size_t upper_level);
+  /// Drops one reference from `e` during a swap; a node left without
+  /// references is freed at once, cascading. Returns the nodes freed.
+  std::size_t release_child(NodeRef e);
+  /// Shared prologue / epilogue of sift() and reorder(): garbage-free
+  /// table, per-variable node lists, reorder epoch, profile and the
+  /// span's live_before / live_after / seconds args. begin_swaps returns
+  /// the start time end_swaps measures from.
+  std::chrono::steady_clock::time_point begin_swaps(TraceSpan& span);
+  void end_swaps(TraceSpan& span, std::chrono::steady_clock::time_point start);
   void gather_var_nodes();
+  /// Debug check: each per-variable list holds each live node once.
+  bool var_lists_exact() const;
   std::size_t sift_one_block(const std::vector<Var>& block, double max_growth);
   std::size_t move_block_up(const std::vector<Var>& block);
   std::size_t move_block_down(const std::vector<Var>& block);

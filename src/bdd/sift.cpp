@@ -20,9 +20,21 @@
 // child is either a stored then-edge (regular by the canonical form) or
 // the node's own then-edge, so mk never has to pull a complement out; an
 // assert documents the invariant. x-nodes without y-children and y-nodes
-// referenced from above levels are untouched. Reference counts (parents +
-// external handles) are exact in this package, so the live node count
-// used to score positions is exact.
+// referenced from above levels are untouched.
+//
+// No dead node survives a swap. A reorder starts by collecting garbage,
+// and whenever a swap drops the last reference to one of the old children
+// f/g, that node is unlinked and freed on the spot, cascading to its own
+// children -- as CUDD's in-place swap does. Left in the table, a dead
+// child would keep its children referenced, so garbage would count as
+// live, be rewritten by later swaps and skew every score. With exact
+// reference counts, live_nodes() is the true table size at every position
+// a block is scored at. Only y-nodes can die in a swap: each y-cofactor
+// of a released child is already referenced by a new x-node. So the
+// per-variable node lists stay exact too -- each holds every live node of
+// its variable once -- once the lower variable's list drops the entries
+// of freed nodes, whose indices mk may already have reused for new
+// x-nodes.
 //
 // Moving a block past a neighbouring block of size m costs size * m
 // adjacent swaps (each variable of one block crosses each variable of the
@@ -91,16 +103,8 @@ std::size_t Manager::block_size_of(Var member) const {
 std::size_t Manager::sift(double max_growth) {
   if (var2level_.size() < 2) return live_nodes();
 
-  ++sift_runs_;
   TraceSpan span(trace_, "sift", "kernel");
-  const auto sift_start = profiling_ ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point{};
-
-  collect_garbage();  // exact live counts; flushes all dead nodes
-  clear_cache();      // node rewrites invalidate every cached result
-  gc_enabled_ = false;
-  sift_tracking_ = true;
-  gather_var_nodes();
+  const auto start = begin_swaps(span);
 
   // One block per group plus one per ungrouped variable, sifted in
   // decreasing order of node population: big layers first.
@@ -124,16 +128,7 @@ std::size_t Manager::sift(double max_growth) {
     sift_one_block(block, max_growth);
   }
 
-  sift_tracking_ = false;
-  nodes_at_var_.clear();
-  gc_enabled_ = true;
-  ++reorder_epoch_;
-  collect_garbage();
-  if (profiling_) {
-    sift_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - sift_start)
-                         .count();
-  }
+  end_swaps(span, start);
   return live_nodes();
 }
 
@@ -203,22 +198,6 @@ std::size_t Manager::move_block_down(const std::vector<Var>& block) {
   return live_nodes();
 }
 
-std::size_t Manager::sift_converged(double max_growth) {
-  // A single sift pass settles each block against a frozen snapshot of the
-  // others; repeating lets blocks react to their neighbours' new homes.
-  // Stop as soon as a pass buys less than 1% (integer arithmetic: an
-  // improvement of before/100 nodes or fewer does not count), with a hard
-  // pass cap so a slowly oscillating table cannot spin forever.
-  std::size_t before = live_nodes();
-  std::size_t after = before;
-  for (int pass = 0; pass < 8; ++pass) {
-    after = sift(max_growth);
-    if (after + before / 100 >= before) break;
-    before = after;
-  }
-  return after;
-}
-
 // ---------------------------------------------------------------------------
 // Explicit reorder
 // ---------------------------------------------------------------------------
@@ -254,16 +233,8 @@ std::size_t Manager::reorder(const std::vector<Var>& order) {
   }
   if (order == level2var_) return live_nodes();
 
-  ++sift_runs_;
   TraceSpan span(trace_, "reorder", "kernel");
-  const auto sift_start = profiling_ ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point{};
-
-  collect_garbage();
-  clear_cache();
-  gc_enabled_ = false;
-  sift_tracking_ = true;
-  gather_var_nodes();
+  const auto start = begin_swaps(span);
 
   // Selection by levels: settle level 0, then 1, ... Each variable only
   // bubbles upward, past variables that have not been placed yet, so
@@ -273,20 +244,42 @@ std::size_t Manager::reorder(const std::vector<Var>& order) {
     while (var2level_[v] > target) swap_levels(var2level_[v] - 1);
   }
 
+  end_swaps(span, start);
+  return live_nodes();
+}
+
+// ---------------------------------------------------------------------------
+// Level swaps
+// ---------------------------------------------------------------------------
+
+std::chrono::steady_clock::time_point Manager::begin_swaps(TraceSpan& span) {
+  const auto start = std::chrono::steady_clock::now();
+  ++sift_runs_;
+  collect_garbage();  // swaps keep the table garbage-free from here on
+  clear_cache();      // node rewrites invalidate every cached result
+  gc_enabled_ = false;
+  sift_tracking_ = true;
+  gather_var_nodes();
+  span.arg("live_before", static_cast<double>(live_nodes()));
+  return start;
+}
+
+void Manager::end_swaps(TraceSpan& span,
+                        std::chrono::steady_clock::time_point start) {
+  assert(var_lists_exact() && "a per-variable node list drifted");
   sift_tracking_ = false;
   nodes_at_var_.clear();
   gc_enabled_ = true;
   ++reorder_epoch_;
-  collect_garbage();
-  if (profiling_) {
-    sift_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - sift_start)
-                         .count();
-  }
-  return live_nodes();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  if (profiling_) sift_seconds_ += seconds;
+  span.arg("live_after", static_cast<double>(live_nodes()));
+  span.arg("seconds", seconds);
 }
 
-std::size_t Manager::swap_levels(std::size_t upper_level) {
+void Manager::swap_levels(std::size_t upper_level) {
   assert(upper_level + 1 < level2var_.size());
   const Var x = level2var_[upper_level];
   const Var y = level2var_[upper_level + 1];
@@ -300,19 +293,10 @@ std::size_t Manager::swap_levels(std::size_t upper_level) {
   std::vector<std::uint32_t> xs = std::move(nodes_at_var_[x]);
   nodes_at_var_[x].clear();
 
+  std::size_t freed = 0;
   for (const std::uint32_t idx : xs) {
-    if (node_at(idx).var != x) continue;  // stale: freed or already moved to y
-
-    if (node_at(idx).refs == 0) {
-      // Reclaim dead x-nodes instead of rewriting them.
-      unique_remove(idx);
-      const NodeRef low = node_at(idx).low;
-      const NodeRef high = node_at(idx).high;
-      free_node(idx);
-      dec_ref(low);
-      dec_ref(high);
-      continue;
-    }
+    assert(node_at(idx).var == x && "node list holds a stale entry");
+    assert(node_at(idx).refs > 0 && "dead node during a swap");
 
     const NodeRef f = node_at(idx).low;   // attributed edge
     const NodeRef g = node_at(idx).high;  // regular by the canonical form
@@ -344,12 +328,32 @@ std::size_t Manager::swap_levels(std::size_t upper_level) {
     n.high = n1;
     inc_ref(n0);
     inc_ref(n1);
-    dec_ref(f);
-    dec_ref(g);
+    // Only now release the old children: n0/n1 already hold their
+    // cofactors, so the release can free f/g but nothing below them.
+    freed += release_child(f);
+    freed += release_child(g);
     unique_insert(idx);
     nodes_at_var_[y].push_back(idx);
   }
-  return live_nodes();
+  if (freed != 0) {
+    // The freed nodes were y-nodes; mk may have reused their indices for
+    // new x-nodes already, so drop the entries rather than rescan them.
+    std::erase_if(nodes_at_var_[y],
+                  [&](std::uint32_t idx) { return node_at(idx).var != y; });
+  }
+  assert(dead_count_.load(std::memory_order_relaxed) == 0 &&
+         "a swap left a dead node behind");
+}
+
+std::size_t Manager::release_child(NodeRef e) {
+  dec_ref(e);
+  const std::uint32_t idx = edge_index(e);
+  if (idx == 0 || node_at(idx).refs != 0) return 0;
+  unique_remove(idx);
+  const NodeRef low = node_at(idx).low;
+  const NodeRef high = node_at(idx).high;
+  free_node(idx);
+  return 1 + release_child(low) + release_child(high);
 }
 
 void Manager::gather_var_nodes() {
@@ -360,6 +364,19 @@ void Manager::gather_var_nodes() {
     const Node& n = node_at(idx);
     if (n.var != kInvalidVar) nodes_at_var_[n.var].push_back(idx);
   }
+}
+
+bool Manager::var_lists_exact() const {
+  std::vector<bool> seen(nodes_size(), false);
+  std::size_t listed = 0;
+  for (Var v = 0; v < nodes_at_var_.size(); ++v) {
+    for (const std::uint32_t idx : nodes_at_var_[v]) {
+      if (node_at(idx).var != v || seen[idx]) return false;
+      seen[idx] = true;
+      ++listed;
+    }
+  }
+  return listed == node_count_.load(std::memory_order_relaxed);
 }
 
 }  // namespace stgcheck::bdd

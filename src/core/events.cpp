@@ -6,6 +6,7 @@ const char* to_string(EventKind kind) {
   switch (kind) {
     case EventKind::kSessionStart: return "session_start";
     case EventKind::kPass: return "pass";
+    case EventKind::kReorder: return "reorder";
     case EventKind::kTraversalDone: return "traversal_done";
     case EventKind::kPhaseDone: return "phase_done";
     case EventKind::kVerdict: return "verdict";
@@ -54,6 +55,16 @@ void EventLog::pass(std::size_t pass, std::size_t image_computations,
     r.metrics.push_back(
         {"template_saved_nodes", static_cast<double>(template_saved_nodes)});
   }
+  emit(std::move(r));
+}
+
+void EventLog::reorder(std::size_t live_before, std::size_t live_after,
+                       double seconds) {
+  EventRecord r;
+  r.kind = EventKind::kReorder;
+  r.metrics = {{"live_before", static_cast<double>(live_before)},
+               {"live_after", static_cast<double>(live_after)},
+               {"seconds", seconds}};
   emit(std::move(r));
 }
 

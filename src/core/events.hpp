@@ -50,6 +50,8 @@ using ManualClock = stgcheck::ManualClock;
 enum class EventKind {
   kSessionStart,   ///< session accepted; label = STG name, metrics = net sizes
   kPass,           ///< one traversal pass finished; metrics = progress gauges
+  kReorder,        ///< one between-pass auto-sift; metrics = live nodes
+                   ///< before (after the GC) and after, seconds
   kTraversalDone,  ///< fixpoint reached; metrics = TraversalStats + peaks
   kPhaseDone,      ///< one checker phase finished; label = phase, metrics.seconds
   kVerdict,        ///< one check's verdict; label = check, ok = verdict
@@ -98,6 +100,9 @@ class EventLog {
             std::size_t reached_nodes, std::size_t frontier_nodes,
             std::size_t template_groups = 0,
             std::size_t template_saved_nodes = 0);
+  /// The metric names match the args on the kernel's `sift` trace span.
+  void reorder(std::size_t live_before, std::size_t live_after,
+               double seconds);
   void traversal_done(std::vector<std::pair<std::string, double>> metrics);
   void phase_done(std::string phase, double seconds);
   void verdict(std::string check, bool ok, std::string detail = {});

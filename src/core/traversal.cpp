@@ -134,8 +134,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // manager groups, so sifting keeps each v' directly below its v and the
   // relational renames stay valid -- for this engine and for any other
   // engine sharing the encoding after we return.
-  AutoSiftPolicy sift_policy(options.auto_sift_threshold,
-                             options.sift_converged);
+  AutoSiftPolicy sift_policy(options.auto_sift_threshold);
 
   // Between-pass maintenance (never inside a pass: the cubes and literal
   // handles stay valid, only levels move). The raw live count includes
@@ -149,7 +148,13 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       sym.manager().collect_garbage();
       const std::size_t live = sym.manager().live_nodes();
       if (sift_policy.should_sift(live)) {
-        if (options.auto_sift) sift_policy.run_sift(sym.manager());
+        if (options.auto_sift) {
+          Stopwatch sift_watch;
+          const std::size_t after = sym.manager().sift();
+          if (options.events != nullptr) {
+            options.events->reorder(live, after, sift_watch.seconds());
+          }
+        }
         sift_policy.reset_watermark(sym.manager().live_nodes());
       }
     }

@@ -68,25 +68,22 @@ struct TraversalOptions {
   /// Hard cap on outer passes (0 = none); a safety valve for benches.
   std::size_t max_passes = 0;
   /// Dynamic reordering (an extension beyond the paper, which used static
-  /// orders only): sift the variable order whenever the live node count
-  /// has doubled since the last reorder (AutoSiftPolicy below). Rescues
-  /// workloads whose structure defeats the static heuristic (e.g. wide
-  /// fork-join stars). Honoured by every engine: primed encodings register
-  /// their (v, v') twin pairs as manager reorder groups, so sifting keeps
-  /// the adjacency the relational renames rely on.
+  /// orders only): one sift pass whenever the GC'd live node count has
+  /// doubled since the last reorder (AutoSiftPolicy below). Sifting scores
+  /// exact table sizes, so a reorder never leaves more live nodes than it
+  /// found; it rescues workloads whose structure defeats the static
+  /// heuristic (e.g. wide fork-join stars, mread8). Honoured by every
+  /// engine: primed encodings register their (v, v') twin pairs as
+  /// manager reorder groups, so sifting keeps the adjacency the relational
+  /// renames rely on. Each reorder is reported as a kReorder event.
   bool auto_sift = true;
   /// Never sift below this table size (sifting churn is not worth it).
   std::size_t auto_sift_threshold = 50'000;
-  /// With auto_sift: run converged sifting (Manager::sift_converged --
-  /// repeat passes until one buys < 1%) instead of a single pass. A lone
-  /// pass can settle in a poor local minimum when the shared graph changed
-  /// shape under it; repeating lets blocks react to their neighbours' new
-  /// positions at the cost of extra reorder time.
-  bool sift_converged = false;
-  /// When set, the traversal emits one kPass record per outer pass and a
-  /// kTraversalDone record with the final stats (core/events.hpp). Not
-  /// owned; typically the CheckSession's log. Null disables emission --
-  /// the benches and the paper-style CLI path pay nothing.
+  /// When set, the traversal emits one kPass record per outer pass, one
+  /// kReorder record per auto-sift and a kTraversalDone record with the
+  /// final stats (core/events.hpp). Not owned; typically the
+  /// CheckSession's log. Null disables emission -- the benches and the
+  /// paper-style CLI path pay nothing.
   EventLog* events = nullptr;
   /// When set, the traversal records Chrome trace_event spans (one per
   /// pass, one per engine image call / fixpoint closure) into it
@@ -102,8 +99,8 @@ struct TraversalOptions {
 /// reordering itself rather than differing GC schedules. A standalone
 /// object so the watermark arithmetic is unit-testable.
 struct AutoSiftPolicy {
-  explicit AutoSiftPolicy(std::size_t floor_, bool converged_ = false)
-      : floor(floor_), watermark(floor_), converged(converged_) {}
+  explicit AutoSiftPolicy(std::size_t floor_)
+      : floor(floor_), watermark(floor_) {}
 
   /// True when `live_nodes` has more than doubled past the watermark.
   bool should_sift(std::size_t live_nodes) const {
@@ -115,15 +112,9 @@ struct AutoSiftPolicy {
   void reset_watermark(std::size_t live_nodes) {
     watermark = std::max(floor, live_nodes);
   }
-  /// Runs the configured flavour of sifting: a single pass, or repeated
-  /// passes to convergence (TraversalOptions::sift_converged).
-  std::size_t run_sift(bdd::Manager& manager) const {
-    return converged ? manager.sift_converged() : manager.sift();
-  }
 
   std::size_t floor;      ///< TraversalOptions::auto_sift_threshold
   std::size_t watermark;  ///< live node count at the last watermark reset
-  bool converged;         ///< TraversalOptions::sift_converged
 };
 
 struct TraversalStats {

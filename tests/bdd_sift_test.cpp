@@ -34,39 +34,6 @@ TEST(BddSift, PreservesSimpleFunctions) {
   EXPECT_EQ(signature(m, f), sig_before);
 }
 
-TEST(BddSiftConverged, MatchesManualIterationAndPreservesFunctions) {
-  // sift_converged() is the packaged form of the iterate-to-convergence
-  // loop ShrinksInterleavedComparator spells out by hand: never worse than
-  // a single pass, function-preserving, and it bumps the reorder epoch.
-  Manager m;
-  constexpr std::size_t kPairs = 6;
-  std::vector<Bdd> as;
-  std::vector<Bdd> bs;
-  for (std::size_t i = 0; i < kPairs; ++i) as.push_back(m.new_var("a" + std::to_string(i)));
-  for (std::size_t i = 0; i < kPairs; ++i) bs.push_back(m.new_var("b" + std::to_string(i)));
-  Bdd f = m.bdd_false();
-  for (std::size_t i = 0; i < kPairs; ++i) f |= as[i] & bs[i];
-
-  // An identical twin manager (same functions, same external handles) for
-  // the single-pass comparison: sifting mutates the table, so the two
-  // flavours cannot run on one manager.
-  Manager m2;
-  std::vector<Bdd> as2;
-  std::vector<Bdd> bs2;
-  for (std::size_t i = 0; i < kPairs; ++i) as2.push_back(m2.new_var("a" + std::to_string(i)));
-  for (std::size_t i = 0; i < kPairs; ++i) bs2.push_back(m2.new_var("b" + std::to_string(i)));
-  Bdd g = m2.bdd_false();
-  for (std::size_t i = 0; i < kPairs; ++i) g |= as2[i] & bs2[i];
-
-  const auto sig_before = signature(m, f);
-  const std::size_t single_pass = m2.sift();
-  const std::size_t converged = m.sift_converged();
-  EXPECT_LE(converged, single_pass);
-  EXPECT_EQ(signature(m, f), sig_before);
-  EXPECT_GE(m.reorder_epoch(), 1u);
-  m.check_invariants();
-}
-
 TEST(BddSift, ShrinksInterleavedComparator) {
   // f = (a0&b0) | (a1&b1) | ... with the bad order a0..an b0..bn has
   // exponential size; sifting must interleave the pairs and shrink it.
@@ -124,6 +91,87 @@ TEST(BddSift, PreservesManyRandomFunctions) {
     ASSERT_LT(v, kVars);
     EXPECT_FALSE(seen[v]);
     seen[v] = true;
+  }
+}
+
+/// A random set of functions over `vars` variables, some of them grouped
+/// into adjacent pairs; intermediates die as the builders go out of scope.
+std::vector<Bdd> random_function_set(Manager& m, Rng& rng, std::size_t vars) {
+  for (std::size_t v = 0; v < vars; ++v) m.new_var("v" + std::to_string(v));
+  for (Var v = 0; v + 1 < vars; v += 2) {
+    if (rng.below(3) == 0) m.group_vars({v, v + 1});
+  }
+  const auto literal = [&]() {
+    const Bdd x = m.var(static_cast<Var>(rng.below(vars)));
+    return rng.flip() ? x : !x;
+  };
+  std::vector<Bdd> fs;
+  for (int i = 0; i < 6; ++i) {
+    Bdd f = m.bdd_false();
+    for (int term = 0; term < 8; ++term) {
+      Bdd cube = literal() & literal();
+      if (rng.flip()) cube &= literal() ^ literal();
+      f = rng.below(4) == 0 ? f ^ cube : f | cube;
+    }
+    fs.push_back(f);
+  }
+  return fs;
+}
+
+/// The blocks of the current order (groups whole), shuffled and flattened:
+/// a random order reorder() accepts.
+std::vector<Var> random_block_order(Manager& m, Rng& rng) {
+  std::vector<std::vector<Var>> blocks;
+  const std::vector<Var> order = m.current_order();
+  for (std::size_t lev = 0; lev < order.size();) {
+    std::vector<Var> block{order[lev]};
+    for (std::size_t g = 0; g < m.group_count(); ++g) {
+      if (m.group(g).front() == order[lev]) block = m.group(g);
+    }
+    lev += block.size();
+    blocks.push_back(std::move(block));
+  }
+  for (std::size_t i = blocks.size(); i > 1; --i) {
+    std::swap(blocks[i - 1], blocks[rng.below(i)]);
+  }
+  std::vector<Var> shuffled;
+  for (const std::vector<Var>& block : blocks) {
+    shuffled.insert(shuffled.end(), block.begin(), block.end());
+  }
+  return shuffled;
+}
+
+// Swaps free dead nodes at once, so the live count sifting scores is the
+// true table size: a sift never ends above the (GC'd) count it started
+// from, and a reorder round trip lands on the very same table. Garbage
+// left in the table by a swap breaks both.
+TEST(BddSiftProperty, ExactCountsAcrossSiftAndReorderOnRandomSets) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Manager m;
+    Rng rng(seed);
+    const std::vector<Bdd> fs = random_function_set(m, rng, 12);
+    std::vector<std::vector<bool>> sigs;
+    for (const Bdd& f : fs) sigs.push_back(signature(m, f));
+    m.collect_garbage();
+
+    const std::size_t start = m.stats().live_count;
+    EXPECT_LE(m.sift(), start);
+    EXPECT_EQ(m.stats().dead_count, 0u);
+    m.check_invariants();
+
+    const std::vector<Var> sifted = m.current_order();
+    const std::size_t sifted_live = m.stats().live_count;
+    m.reorder(random_block_order(m, rng));
+    EXPECT_EQ(m.stats().dead_count, 0u);
+    m.check_invariants();
+    EXPECT_EQ(m.reorder(sifted), sifted_live);
+    EXPECT_EQ(m.stats().dead_count, 0u);
+    m.check_invariants();
+
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_EQ(signature(m, fs[i]), sigs[i]) << "function " << i;
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/events.hpp"
 #include "core/image_engine.hpp"
 #include "core/traversal.hpp"
 #include "random_stg.hpp"
@@ -187,6 +189,68 @@ TEST(SiftedTraversalProperty, ForcedSiftMatchesUnsiftedBaselineOnRandomStgs) {
       }
     }
   }
+}
+
+// Every between-pass auto-sift reports itself as a kReorder record, and
+// the reordered traversal reaches the same fixed point as a static one.
+TEST(AutoSiftEvents, EachReorderEmitsARecordAndKeepsTheFixedPoint) {
+  const stg::Stg net = stg::master_read(4);
+  SymbolicStg sym(net);
+  TraversalOptions off;
+  off.auto_sift = false;
+  const TraversalResult ref = traverse(sym, off);
+
+  EventLog log;
+  TraversalOptions on;
+  on.auto_sift_threshold = 0;  // sift at the first opportunity
+  on.events = &log;
+  const std::size_t epoch_before = sym.manager().reorder_epoch();
+  const TraversalResult r = traverse(sym, on);
+  EXPECT_EQ(r.reached, ref.reached);
+  EXPECT_DOUBLE_EQ(r.stats.states, ref.stats.states);
+  sym.manager().check_invariants();
+
+  std::size_t reorders = 0;
+  for (const EventRecord& record : log.records()) {
+    if (record.kind != EventKind::kReorder) continue;
+    ++reorders;
+    ASSERT_EQ(record.metrics.size(), 3u);
+    EXPECT_EQ(record.metrics[0].first, "live_before");
+    EXPECT_EQ(record.metrics[1].first, "live_after");
+    EXPECT_EQ(record.metrics[2].first, "seconds");
+    EXPECT_LE(record.metrics[1].second, record.metrics[0].second);
+    EXPECT_GE(record.metrics[2].second, 0.0);
+  }
+  EXPECT_GT(reorders, 0u);
+  EXPECT_EQ(reorders, sym.manager().reorder_epoch() - epoch_before);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: the auto-sift that fires on mread8 must pay for itself. While
+// swaps left dead nodes in the table, the garbage they kept referenced was
+// scored as live and the sift settled on an order that more than doubled
+// the saturation peak (276k nodes sift-off, 496k sift-on).
+// ---------------------------------------------------------------------------
+
+TEST(AutoSiftRegression, SaturationMread8PeakNoWorseThanSiftOff) {
+  const stg::Stg net = stg::master_read(8);
+  const auto peak = [&](bool sift) {
+    SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                    /*with_primed_vars=*/true);
+    const std::unique_ptr<ImageEngine> engine =
+        make_engine(EngineKind::kSaturation, sym);
+    TraversalOptions options;
+    options.auto_sift = sift;
+    const TraversalResult r = traverse(*engine, options);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(sym.manager().reorder_epoch() > 0, sift)
+        << "the default threshold must trigger exactly when sifting is on";
+    return std::make_pair(sym.manager().peak_live_nodes(), r.stats.states);
+  };
+  const auto [off_peak, off_states] = peak(false);
+  const auto [on_peak, on_states] = peak(true);
+  EXPECT_DOUBLE_EQ(on_states, off_states);
+  EXPECT_LE(on_peak, off_peak);
 }
 
 }  // namespace
