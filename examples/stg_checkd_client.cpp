@@ -20,10 +20,9 @@
 //     --quiet          print only result/batch_done/error lines, not the
 //                      per-session event stream
 //     plus every core::CheckConfig flag (--ordering, --strategy,
-//     --engine, --threads, --relation-templates,
-//     --arbitrate, --initial-nodes, --max-live-nodes, --max-seconds,
-//     --max-steps) -- parsed by the unified config and forwarded as the
-//     wire "options" object
+//     --engine, --threads, --arbitrate, --initial-nodes, --max-live-nodes,
+//     --max-seconds, --max-steps) -- parsed by the unified config and
+//     forwarded as the wire "options" object
 //
 // Exit status: 0 on success, 1 on connection/protocol errors or any
 // error reply.
@@ -57,7 +56,7 @@ void usage() {
       "  --batch          force the batch op for a single file\n"
       "  --quiet          suppress streamed event lines\n"
       "  --ordering O  --strategy S  --engine E  --threads N\n"
-      "  --relation-templates M  --arbitrate A,B\n"
+      "  --arbitrate A,B\n"
       "  --initial-nodes N  --max-live-nodes N  --max-seconds S\n"
       "  --max-steps N\n",
       stderr);

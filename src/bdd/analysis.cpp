@@ -10,7 +10,6 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -52,48 +51,6 @@ std::vector<Var> Manager::support(const Bdd& f) const {
     return var2level_[a] < var2level_[b];
   });
   return vars;
-}
-
-std::vector<std::uint64_t> Manager::shape_signature(const Bdd& f) const {
-  // Variable identity is erased by replacing each node's variable with its
-  // rank in f's level-sorted support; graph identity is erased by first-
-  // visit ids from a fixed (low-then-high) DFS. Canonicity does the rest:
-  // two functions serialize identically iff a monotone rename of the
-  // support maps one ROBDD graph onto the other node-for-node.
-  const std::vector<Var> sup = support(f);
-  std::vector<std::uint64_t> rank(var2level_.size(), 0);
-  for (std::size_t i = 0; i < sup.size(); ++i) rank[sup[i]] = i;
-
-  std::vector<std::uint64_t> sig;
-  sig.push_back(sup.size());
-  std::unordered_map<std::uint32_t, std::uint64_t> ids;  // node index -> id
-  std::vector<std::array<std::uint64_t, 3>> entries;     // per id: rank, lo, hi
-  // Edge code: (id << 1) | complement, terminal id 0, nonterminals 1..n in
-  // first-visit order.
-  std::function<std::uint64_t(NodeRef)> go = [&](NodeRef e) -> std::uint64_t {
-    if (is_term(e)) return edge_complemented(e) ? 1 : 0;
-    const std::uint32_t idx = edge_index(e);
-    auto [it, inserted] = ids.emplace(idx, ids.size() + 1);
-    const std::uint64_t id = it->second;
-    if (inserted) {
-      const Node& n = deref(e);
-      entries.push_back({rank[n.var], 0, 0});
-      const std::uint64_t slot = id - 1;
-      const std::uint64_t lo = go(n.low);
-      entries[slot][1] = lo;
-      const std::uint64_t hi = go(n.high);
-      entries[slot][2] = hi;
-    }
-    return (id << 1) | (edge_complemented(e) ? 1 : 0);
-  };
-  const std::uint64_t root = go(f.ref());
-  sig.push_back(root);
-  for (const auto& e : entries) {
-    sig.push_back(e[0]);
-    sig.push_back(e[1]);
-    sig.push_back(e[2]);
-  }
-  return sig;
 }
 
 // ---------------------------------------------------------------------------

@@ -179,17 +179,6 @@ class Bdd {
 struct ReachRelation {
   Bdd rel;
   Bdd support;  ///< positive cube of the relation's unprimed support
-  /// Level displacement of a shared template body: the kernel reads every
-  /// node of `rel` as sitting `shift` levels below (positive) or above
-  /// (negative) its actual position, while `support` stays the cube of the
-  /// *instance's* own variables. This is how one template relation fires
-  /// at k level-shifted positions without ever materializing the k
-  /// per-instance copies: each instance contributes the same `rel` with
-  /// its own cube and displacement. 0 (the default) is the ordinary
-  /// in-place relation and takes exactly the pre-template code path.
-  /// Requires every variable of `rel`'s support to land, after the shift,
-  /// on a support-cube variable's level or on its twin level.
-  std::ptrdiff_t shift = 0;
 };
 
 /// One literal of a cube: variable plus polarity.
@@ -227,13 +216,12 @@ struct ManagerStats {
   // cache_lookups/cache_hits exactly (binary + reach + multi + permute ==
   // total, pinned by a regression test). Before the split, the striped
   // multi-operand cache and the permute memo were indistinguishable from
-  // binary-op traffic, which skewed cache_hit_rate() on scheduled and
-  // templated runs.
+  // binary-op traffic, which skewed cache_hit_rate() on scheduled runs.
   std::size_t binary_cache_lookups = 0;  ///< And..Restrict in the main cache
   std::size_t binary_cache_hits = 0;
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
-  std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries,
-                                        ///< the REACH cache, the shift cache
+  std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries
+                                        ///< and the REACH cache
   std::size_t multi_cache_lookups = 0;  ///< n-ary striped cache
   std::size_t multi_cache_hits = 0;
   std::size_t permute_cache_lookups = 0;  ///< cross-call permute memo
@@ -393,13 +381,8 @@ class Manager {
   /// every reorder clears it. Like permute, every call validates its
   /// operands with linear walks (the twin layout over the supports) --
   /// the same per-call cost class the classic and_exists + permute image
-  /// pipelines pay inside their validated permute. A non-zero `shift`
-  /// fires `rel` as a level-displaced template body at the position
-  /// `support` names (see ReachRelation::shift); such calls are cached in
-  /// a dedicated shift-keyed table so they can never alias an in-place
-  /// product of the same operands.
-  Bdd rel_next(const Bdd& states, const Bdd& rel, const Bdd& support,
-               std::ptrdiff_t shift = 0);
+  /// pipelines pay inside their validated permute.
+  Bdd rel_next(const Bdd& states, const Bdd& rel, const Bdd& support);
   /// The in-kernel saturation REACH operation: the least fixpoint of
   /// `states` under every relation, computed level-by-level. Relations are
   /// ordered by the current level of their top support variable; at each
@@ -424,27 +407,16 @@ class Manager {
   /// order take a linear top-down pass; general renames fall back to a
   /// level-aware ITE composition. Results are memoized across calls in a
   /// direct-mapped cache keyed on (root, support-restricted mapping), so
-  /// instantiating one template at the same position twice is a lookup,
-  /// not a second traversal; the cache is dropped with the computed
-  /// caches (GC, reorder), never returning a stale node.
+  /// the relational engine's repeated renames of the same image back onto
+  /// the unprimed variables are lookups, not second traversals; the cache
+  /// is dropped with the computed caches (GC, reorder), never returning a
+  /// stale node.
   Bdd permute(const Bdd& f, const std::vector<Var>& perm);
 
   // ---- Analysis ----------------------------------------------------------
 
   /// Variables f depends on, sorted by current level.
   std::vector<Var> support(const Bdd& f) const;
-  /// Canonical serialization of f's graph shape modulo a monotone
-  /// (level-order-preserving) renaming of its variables: a low-then-high
-  /// DFS assigns first-visit node ids, each node contributes (rank of its
-  /// variable within f's level-sorted support, low edge as child-id plus
-  /// complement flag, high edge likewise), prefixed by the support size
-  /// and terminated by the root edge. Two functions have equal signatures
-  /// iff substituting each one's i-th support variable (in level order)
-  /// by a shared fresh variable set yields the *same* function -- i.e.
-  /// one is a monotone rename of the other, the certificate template
-  /// detection groups on (core::detect_relation_templates). Allocates no
-  /// nodes.
-  std::vector<std::uint64_t> shape_signature(const Bdd& f) const;
   /// Number of BDD nodes reachable from f (the terminal excluded). With
   /// complement edges f and !f share the same graph and count.
   std::size_t count_nodes(const Bdd& f) const;
@@ -672,31 +644,11 @@ class Manager {
   /// One rule of a running reach(): a relation edge, its support cube edge
   /// and the current level of its top support variable. Valid only while
   /// the top-level reach call is on the stack (the caller's ReachRelation
-  /// handles keep the edges alive). `shift` is the template displacement
-  /// of ReachRelation::shift; `top` is always the instance-side level
-  /// (the cube's top), which is what the saturation order sorts by.
+  /// handles keep the edges alive).
   struct ReachRule {
     NodeRef rel = kInvalidRef;
     NodeRef cube = kInvalidRef;
     std::size_t top = 0;
-    std::int32_t shift = 0;
-  };
-
-  /// One slot of the shifted-product cache. An in-place rel_next (shift
-  /// 0) keys the main computed cache on (states, rel, cube); a template
-  /// firing cannot, because the same (rel, cube) pair may be valid under
-  /// more than one displacement (evenly spaced cube pairs with a narrower
-  /// template), and a fixed-width CacheEntry has no room for the shift.
-  /// Shifted products therefore live in their own direct-mapped table
-  /// with the displacement as part of the stored key; a slot collision
-  /// misses instead of returning another displacement's product.
-  struct RelNextShiftEntry {
-    NodeRef states = kInvalidRef;
-    NodeRef rel = kInvalidRef;
-    NodeRef cube = kInvalidRef;
-    std::int32_t shift = 0;
-    NodeRef result = kInvalidRef;
-    std::uint32_t version = 0;  ///< seqlock word, as in CacheEntry
   };
 
   /// One slot of the cross-call permute memo. The key is the root edge
@@ -726,7 +678,6 @@ class Manager {
       std::numeric_limits<std::uint32_t>::max();
   static constexpr std::size_t kMultiCacheSize = std::size_t{1} << 15;
   static constexpr std::size_t kReachCacheSize = std::size_t{1} << 15;
-  static constexpr std::size_t kRelNextShiftCacheSize = std::size_t{1} << 14;
   static constexpr std::size_t kPermuteCacheSize = std::size_t{1} << 12;
 
   // Node storage: a chunked arena instead of one flat vector. Chunk
@@ -762,15 +713,6 @@ class Manager {
   }
   std::size_t level(NodeRef e) const {
     return is_term(e) ? kTerminalLevel : var2level_[deref(e).var];
-  }
-  /// Level of a template-body edge read through a displacement
-  /// (ReachRelation::shift); terminals stay at the terminal level.
-  std::size_t level_shifted(NodeRef e, std::int32_t shift) const {
-    return is_term(e)
-               ? kTerminalLevel
-               : static_cast<std::size_t>(
-                     static_cast<std::ptrdiff_t>(var2level_[deref(e).var]) +
-                     shift);
   }
   static constexpr std::size_t kTerminalLevel =
       std::numeric_limits<std::size_t>::max();
@@ -812,20 +754,10 @@ class Manager {
   std::size_t reach_hash(NodeRef states, std::size_t rule) const;
   NodeRef reach_cache_lookup(NodeRef states, std::size_t rule) const;
   void reach_cache_store(NodeRef states, std::size_t rule, NodeRef result);
-  // Shifted-product cache (template firings; see RelNextShiftEntry).
-  std::size_t rel_next_shift_hash(NodeRef s, NodeRef r, NodeRef cube,
-                                  std::int32_t shift) const;
-  NodeRef rel_next_shift_lookup(NodeRef s, NodeRef r, NodeRef cube,
-                                std::int32_t shift) const;
-  void rel_next_shift_store(NodeRef s, NodeRef r, NodeRef cube,
-                            std::int32_t shift, NodeRef result);
-  void ensure_rel_next_shift_cache();
   /// Per-relation layout checks; accumulates the twin variables into
-  /// `twin_mask` for the one-pass state-set check below. A non-zero shift
-  /// checks the displaced template layout instead of the in-place one.
+  /// `twin_mask` for the one-pass state-set check below.
   void validate_reach_relation(const Bdd& rel, const Bdd& support,
-                               std::vector<char>& twin_mask,
-                               std::ptrdiff_t shift = 0) const;
+                               std::vector<char>& twin_mask) const;
   void validate_reach_states(const Bdd& states,
                              const std::vector<char>& twin_mask) const;
 
@@ -842,8 +774,7 @@ class Manager {
   NodeRef exists_rec(NodeRef f, NodeRef cube);
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
   NodeRef and_exists_multi_rec(std::vector<NodeRef> ops, NodeRef cube);
-  NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
-                       std::int32_t shift = 0);
+  NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);
   NodeRef reach_rec(NodeRef s, std::size_t rule);
   NodeRef restrict_rec(NodeRef f, NodeRef care);
   NodeRef permute_rec(NodeRef f, const std::vector<Var>& perm,
@@ -883,8 +814,7 @@ class Manager {
   NodeRef and_exists_par(NodeRef f, NodeRef g, NodeRef cube, int depth);
   NodeRef and_exists_multi_par(std::vector<NodeRef> ops, NodeRef cube,
                                int depth);
-  NodeRef rel_next_par(NodeRef s, NodeRef r, NodeRef cube, std::int32_t shift,
-                       int depth);
+  NodeRef rel_next_par(NodeRef s, NodeRef r, NodeRef cube, int depth);
   NodeRef reach_par(NodeRef s, std::size_t rule);
   /// Fires rules [begin, end) -- a maximal run with the same top level --
   /// on `cur` concurrently (binary split over the pool) and returns the
@@ -1039,11 +969,6 @@ class Manager {
   std::vector<ReachCacheEntry> reach_cache_;
   std::size_t reach_cache_mask_ = 0;
   std::vector<NodeRef> reach_sig_;
-
-  // Shifted-product cache (allocated lazily on the first template firing;
-  // cleared with the computed caches).
-  std::vector<RelNextShiftEntry> rel_next_shift_cache_;
-  std::size_t rel_next_shift_cache_mask_ = 0;
 
   // Cross-call permute memo (allocated lazily; cleared with the computed
   // caches). Only ever touched by the owner thread: permute is a

@@ -394,16 +394,14 @@ NodeRef Manager::and_exists_multi_par(std::vector<NodeRef> ops, NodeRef cube,
 // rel_next and the REACH fixpoint
 // ---------------------------------------------------------------------------
 
-NodeRef Manager::rel_next_par(NodeRef s, NodeRef r, NodeRef cube,
-                              std::int32_t shift, int depth) {
+NodeRef Manager::rel_next_par(NodeRef s, NodeRef r, NodeRef cube, int depth) {
   if (s == kFalse || r == kFalse) return kFalse;
-  const std::size_t top = std::min(level(s), level_shifted(r, shift));
+  const std::size_t top = std::min(level(s), level(r));
   while (!is_term(cube) && level(cube) + 1 < top) cube = high_of(cube);
   if (is_term(cube)) return and_par(s, r, depth);
-  if (!fork_worthwhile(depth, top)) return rel_next_rec(s, r, cube, shift);
+  if (!fork_worthwhile(depth, top)) return rel_next_rec(s, r, cube);
 
-  const NodeRef cached = shift == 0 ? cache_lookup(Op::kRelNext, s, r, cube)
-                                    : rel_next_shift_lookup(s, r, cube, shift);
+  const NodeRef cached = cache_lookup(Op::kRelNext, s, r, cube);
   if (cached != kInvalidRef) return cached;
 
   const std::size_t lv = level(cube);
@@ -412,12 +410,11 @@ NodeRef Manager::rel_next_par(NodeRef s, NodeRef r, NodeRef cube,
     const Var u = level2var_[top];
     const NodeRef s0 = level(s) == top ? low_of(s) : s;
     const NodeRef s1 = level(s) == top ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == top ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == top ? high_of(r) : r;
-    ForkedCall hi(*pool_, [=, this] {
-      return rel_next_par(s1, r1, cube, shift, depth - 1);
-    });
-    const NodeRef low = rel_next_par(s0, r0, cube, shift, depth - 1);
+    const NodeRef r0 = level(r) == top ? low_of(r) : r;
+    const NodeRef r1 = level(r) == top ? high_of(r) : r;
+    ForkedCall hi(*pool_,
+                  [=, this] { return rel_next_par(s1, r1, cube, depth - 1); });
+    const NodeRef low = rel_next_par(s0, r0, cube, depth - 1);
     result = mk(u, low, hi.get());
   } else {
     const Var v = deref(cube).var;
@@ -425,35 +422,31 @@ NodeRef Manager::rel_next_par(NodeRef s, NodeRef r, NodeRef cube,
     const NodeRef rest = high_of(cube);
     const NodeRef s0 = level(s) == lv ? low_of(s) : s;
     const NodeRef s1 = level(s) == lv ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == lv ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == lv ? high_of(r) : r;
-    const NodeRef r00 = level_shifted(r0, shift) == lw ? low_of(r0) : r0;
-    const NodeRef r01 = level_shifted(r0, shift) == lw ? high_of(r0) : r0;
-    const NodeRef r10 = level_shifted(r1, shift) == lw ? low_of(r1) : r1;
-    const NodeRef r11 = level_shifted(r1, shift) == lw ? high_of(r1) : r1;
+    const NodeRef r0 = level(r) == lv ? low_of(r) : r;
+    const NodeRef r1 = level(r) == lv ? high_of(r) : r;
+    const NodeRef r00 = level(r0) == lw ? low_of(r0) : r0;
+    const NodeRef r01 = level(r0) == lw ? high_of(r0) : r0;
+    const NodeRef r10 = level(r1) == lw ? low_of(r1) : r1;
+    const NodeRef r11 = level(r1) == lw ? high_of(r1) : r1;
     // Four independent quadrants: fork three, compute one inline, join in
     // reverse fork order so each unstolen task runs from our own deque.
     ForkedCall c01(*pool_, [=, this] {
-      return rel_next_par(s0, r01, rest, shift, depth - 1);
+      return rel_next_par(s0, r01, rest, depth - 1);
     });
     ForkedCall c10(*pool_, [=, this] {
-      return rel_next_par(s1, r10, rest, shift, depth - 1);
+      return rel_next_par(s1, r10, rest, depth - 1);
     });
     ForkedCall c11(*pool_, [=, this] {
-      return rel_next_par(s1, r11, rest, shift, depth - 1);
+      return rel_next_par(s1, r11, rest, depth - 1);
     });
-    const NodeRef a00 = rel_next_par(s0, r00, rest, shift, depth - 1);
+    const NodeRef a00 = rel_next_par(s0, r00, rest, depth - 1);
     const NodeRef a11 = c11.get();
     const NodeRef a10 = c10.get();
     const NodeRef a01 = c01.get();
     const NodeRef low = or_par(a00, a10, depth - 1);
     result = mk(v, low, or_par(a01, a11, depth - 1));
   }
-  if (shift == 0) {
-    cache_store(Op::kRelNext, s, r, cube, result);
-  } else {
-    rel_next_shift_store(s, r, cube, shift, result);
-  }
+  cache_store(Op::kRelNext, s, r, cube, result);
   return result;
 }
 
@@ -466,8 +459,7 @@ NodeRef Manager::fire_group(NodeRef cur, std::size_t begin, std::size_t end,
     ++hot().calls[op_slot(OpKind::kRelNext)];
     TraceSpan firing(trace_, "reach_rule", "kernel");
     firing.arg("rule", static_cast<double>(begin));
-    const NodeRef step =
-        rel_next_par(cur, rule.rel, rule.cube, rule.shift, depth);
+    const NodeRef step = rel_next_par(cur, rule.rel, rule.cube, depth);
     return or_par(cur, step, depth);
   }
   const std::size_t mid = begin + (end - begin) / 2;

@@ -44,8 +44,7 @@ namespace stgcheck::bdd {
 // ---------------------------------------------------------------------------
 
 void Manager::validate_reach_relation(const Bdd& rel, const Bdd& support,
-                                      std::vector<char>& twin_mask,
-                                      std::ptrdiff_t shift) const {
+                                      std::vector<char>& twin_mask) const {
   if (rel.manager() != this || support.manager() != this) {
     throw ModelError("reach/rel_next: operand from a different manager");
   }
@@ -80,34 +79,11 @@ void Manager::validate_reach_relation(const Bdd& rel, const Bdd& support,
     is_twin[twin] = 1;
     twin_mask[twin] = 1;
   }
-  if (shift == 0) {
-    for (const Var v : this->support(rel)) {
-      if (!is_support[v] && !is_twin[v]) {
-        throw ModelError("reach/rel_next: relation mentions " + var_desc(v) +
-                         ", which is neither a support variable nor the "
-                         "next-state twin of one");
-      }
-    }
-    return;
-  }
-  // A displaced template body: every variable it mentions must land, read
-  // `shift` levels away, on a support-cube variable's level or on its twin
-  // level -- that is the positional role the recursion will assign it.
-  std::vector<char> level_allowed(level2var_.size(), 0);
-  for (const Literal& l : literals) {
-    level_allowed[var2level_[l.var]] = 1;
-    level_allowed[var2level_[l.var] + 1] = 1;
-  }
   for (const Var v : this->support(rel)) {
-    const std::ptrdiff_t landing =
-        static_cast<std::ptrdiff_t>(var2level_[v]) + shift;
-    if (landing < 0 ||
-        landing >= static_cast<std::ptrdiff_t>(level2var_.size()) ||
-        !level_allowed[static_cast<std::size_t>(landing)]) {
-      throw ModelError(
-          "reach/rel_next: template variable " + var_desc(v) + " shifted by " +
-          std::to_string(shift) + " lands on level " + std::to_string(landing) +
-          ", which is neither a support variable's level nor a twin level");
+    if (!is_support[v] && !is_twin[v]) {
+      throw ModelError("reach/rel_next: relation mentions " + var_desc(v) +
+                       ", which is neither a support variable nor the "
+                       "next-state twin of one");
     }
   }
 }
@@ -129,53 +105,39 @@ void Manager::validate_reach_states(const Bdd& states,
 // rel_next
 // ---------------------------------------------------------------------------
 
-Bdd Manager::rel_next(const Bdd& states, const Bdd& rel, const Bdd& support,
-                      std::ptrdiff_t shift) {
+Bdd Manager::rel_next(const Bdd& states, const Bdd& rel, const Bdd& support) {
   poll_budget();
   ++hot().calls[op_slot(OpKind::kRelNext)];
   ProfileTimer timer(*this, OpKind::kRelNext);
   std::vector<char> twin_mask(var2level_.size(), 0);
-  validate_reach_relation(rel, support, twin_mask, shift);
+  validate_reach_relation(rel, support, twin_mask);
   validate_reach_states(states, twin_mask);
-  const std::int32_t sh = static_cast<std::int32_t>(shift);
   NodeRef raw;
   if (pool_ != nullptr &&
-      fork_worthwhile(fork_depth_, std::min(level(states.ref()),
-                                            level_shifted(rel.ref(), sh)))) {
-    // The shifted cache resizes lazily on the sequential path only;
-    // allocate it before any worker could want a store.
-    if (sh != 0) ensure_rel_next_shift_cache();
+      fork_worthwhile(fork_depth_,
+                      std::min(level(states.ref()), level(rel.ref())))) {
     ParallelRegion region(*this);
     raw = pool_->run_root([&] {
-      return rel_next_par(states.ref(), rel.ref(), support.ref(), sh,
-                          fork_depth_);
+      return rel_next_par(states.ref(), rel.ref(), support.ref(), fork_depth_);
     });
   } else {
-    raw = rel_next_rec(states.ref(), rel.ref(), support.ref(), sh);
+    raw = rel_next_rec(states.ref(), rel.ref(), support.ref());
   }
   Bdd result = make_handle(raw);
   maybe_gc();
   return result;
 }
 
-NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
-                              std::int32_t shift) {
+NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube) {
   if (s == kFalse || r == kFalse) return kFalse;
   // Pairs above everything s and r test contribute only identity: exists v
   // of a function independent of v, and a substitution with no twin
-  // present. (level(cube) + 1 is the pair's twin level.) The relation's
-  // nodes are read through the template displacement throughout; 0 -- the
-  // only value in-place relations ever pass -- makes every comparison
-  // identical to the unshifted kernel.
-  const std::size_t top = std::min(level(s), level_shifted(r, shift));
+  // present. (level(cube) + 1 is the pair's twin level.)
+  const std::size_t top = std::min(level(s), level(r));
   while (!is_term(cube) && level(cube) + 1 < top) cube = high_of(cube);
-  // Once the cube is exhausted no pair at or below `top` remains, and the
-  // relation's support lives on pair levels (validated), so r is a
-  // terminal here -- and_rec never sees a displaced node.
   if (is_term(cube)) return and_rec(s, r);
 
-  const NodeRef cached = shift == 0 ? cache_lookup(Op::kRelNext, s, r, cube)
-                                    : rel_next_shift_lookup(s, r, cube, shift);
+  const NodeRef cached = cache_lookup(Op::kRelNext, s, r, cube);
   if (cached != kInvalidRef) return cached;
 
   // Copy fields before recursing: mk may reallocate the node vector.
@@ -187,10 +149,10 @@ NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
     const Var u = level2var_[top];
     const NodeRef s0 = level(s) == top ? low_of(s) : s;
     const NodeRef s1 = level(s) == top ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == top ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == top ? high_of(r) : r;
-    const NodeRef low = rel_next_rec(s0, r0, cube, shift);
-    result = mk(u, low, rel_next_rec(s1, r1, cube, shift));
+    const NodeRef r0 = level(r) == top ? low_of(r) : r;
+    const NodeRef r1 = level(r) == top ? high_of(r) : r;
+    const NodeRef low = rel_next_rec(s0, r0, cube);
+    result = mk(u, low, rel_next_rec(s1, r1, cube));
   } else {
     // Process the pair (v at lv, its twin at lv + 1): quantify v, split
     // the relation on the twin, and rebuild the twin's branches on v
@@ -200,23 +162,19 @@ NodeRef Manager::rel_next_rec(NodeRef s, NodeRef r, NodeRef cube,
     const NodeRef rest = high_of(cube);
     const NodeRef s0 = level(s) == lv ? low_of(s) : s;
     const NodeRef s1 = level(s) == lv ? high_of(s) : s;
-    const NodeRef r0 = level_shifted(r, shift) == lv ? low_of(r) : r;
-    const NodeRef r1 = level_shifted(r, shift) == lv ? high_of(r) : r;
-    const NodeRef r00 = level_shifted(r0, shift) == lw ? low_of(r0) : r0;
-    const NodeRef r01 = level_shifted(r0, shift) == lw ? high_of(r0) : r0;
-    const NodeRef r10 = level_shifted(r1, shift) == lw ? low_of(r1) : r1;
-    const NodeRef r11 = level_shifted(r1, shift) == lw ? high_of(r1) : r1;
-    const NodeRef low = or_rec(rel_next_rec(s0, r00, rest, shift),
-                               rel_next_rec(s1, r10, rest, shift));
-    const NodeRef high = or_rec(rel_next_rec(s0, r01, rest, shift),
-                                rel_next_rec(s1, r11, rest, shift));
+    const NodeRef r0 = level(r) == lv ? low_of(r) : r;
+    const NodeRef r1 = level(r) == lv ? high_of(r) : r;
+    const NodeRef r00 = level(r0) == lw ? low_of(r0) : r0;
+    const NodeRef r01 = level(r0) == lw ? high_of(r0) : r0;
+    const NodeRef r10 = level(r1) == lw ? low_of(r1) : r1;
+    const NodeRef r11 = level(r1) == lw ? high_of(r1) : r1;
+    const NodeRef low =
+        or_rec(rel_next_rec(s0, r00, rest), rel_next_rec(s1, r10, rest));
+    const NodeRef high =
+        or_rec(rel_next_rec(s0, r01, rest), rel_next_rec(s1, r11, rest));
     result = mk(v, low, high);
   }
-  if (shift == 0) {
-    cache_store(Op::kRelNext, s, r, cube, result);
-  } else {
-    rel_next_shift_store(s, r, cube, shift, result);
-  }
+  cache_store(Op::kRelNext, s, r, cube, result);
   return result;
 }
 
@@ -232,19 +190,13 @@ Bdd Manager::reach(const Bdd& states,
   std::vector<ReachRule> rules;
   rules.reserve(relations.size());
   std::vector<char> twin_mask(var2level_.size(), 0);
-  bool any_shifted = false;
   for (const ReachRelation& r : relations) {
-    validate_reach_relation(r.rel, r.support, twin_mask, r.shift);
+    validate_reach_relation(r.rel, r.support, twin_mask);
     // A false relation fires nothing; a relation with an empty support
     // constrains nothing (its product is the identity). Both are dropped.
     if (r.rel.ref() == kFalse || is_term(r.support.ref())) continue;
-    // The rule's saturation position is the *instance* cube's top level --
-    // a displaced template body saturates where it fires, not where its
-    // representative lives.
     rules.push_back(ReachRule{r.rel.ref(), r.support.ref(),
-                              level(r.support.ref()),
-                              static_cast<std::int32_t>(r.shift)});
-    any_shifted = any_shifted || r.shift != 0;
+                              level(r.support.ref())});
   }
   // One pass over the state set's support against every relation's twins
   // (per-relation checks would walk the whole seed BDD once per rule).
@@ -256,14 +208,12 @@ Bdd Manager::reach(const Bdd& states,
                    });
 
   // The (states, rule) cache key is exact only for this rule list: a call
-  // with a different list flushes the entries first. The displacement is
-  // part of a rule's identity, so it is part of the signature.
+  // with a different list flushes the entries first.
   std::vector<NodeRef> sig;
-  sig.reserve(rules.size() * 3);
+  sig.reserve(rules.size() * 2);
   for (const ReachRule& r : rules) {
     sig.push_back(r.rel);
     sig.push_back(r.cube);
-    sig.push_back(static_cast<NodeRef>(static_cast<std::uint32_t>(r.shift)));
   }
   if (sig != reach_sig_) {
     for (ReachCacheEntry& e : reach_cache_) e = ReachCacheEntry{};
@@ -280,7 +230,6 @@ Bdd Manager::reach(const Bdd& states,
         reach_cache_.resize(kReachCacheSize);
         reach_cache_mask_ = kReachCacheSize - 1;
       }
-      if (any_shifted) ensure_rel_next_shift_cache();
       ParallelRegion region(*this);
       raw = pool_->run_root([&] { return reach_par(states.ref(), 0); });
     } else {
@@ -332,13 +281,12 @@ NodeRef Manager::reach_rec(NodeRef s, std::size_t rule) {
       if (cur == kTrue) break;
       const NodeRef rel = reach_rules_[rule].rel;
       const NodeRef cube = reach_rules_[rule].cube;
-      const std::int32_t shift = reach_rules_[rule].shift;
       // One saturation rule firing: an in-kernel rel_next application,
       // counted on the kRelNext slot and spanned when tracing is armed.
       ++hot().calls[op_slot(OpKind::kRelNext)];
       TraceSpan firing(trace_, "reach_rule", "kernel");
       firing.arg("rule", static_cast<double>(rule));
-      const NodeRef step = rel_next_rec(cur, rel, cube, shift);
+      const NodeRef step = rel_next_rec(cur, rel, cube);
       const NodeRef next = or_rec(cur, step);
       if (next == cur) break;
       cur = next;
@@ -420,101 +368,6 @@ void Manager::reach_cache_store(NodeRef states, std::size_t rule,
   std::atomic_ref<NodeRef>(e.states).store(states, std::memory_order_relaxed);
   std::atomic_ref<std::uint32_t>(e.rule).store(
       static_cast<std::uint32_t>(rule), std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.result).store(result, std::memory_order_relaxed);
-  ver.store(v + 2, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// The shifted-product cache (template firings; see RelNextShiftEntry)
-// ---------------------------------------------------------------------------
-
-void Manager::ensure_rel_next_shift_cache() {
-  if (!rel_next_shift_cache_.empty()) return;
-  rel_next_shift_cache_.resize(kRelNextShiftCacheSize);
-  rel_next_shift_cache_mask_ = kRelNextShiftCacheSize - 1;
-}
-
-std::size_t Manager::rel_next_shift_hash(NodeRef s, NodeRef r, NodeRef cube,
-                                         std::int32_t shift) const {
-  std::uint64_t h = static_cast<std::uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
-  h ^= (static_cast<std::uint64_t>(r) + 0x517cc1b727220a95ULL) *
-       0xff51afd7ed558ccdULL;
-  h ^= (static_cast<std::uint64_t>(cube) + 0x2545f4914f6cdd1dULL) *
-       0xc4ceb9fe1a85ec53ULL;
-  h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(shift)) *
-       0xd6e8feb86659fd93ULL;
-  h ^= h >> 33;
-  return static_cast<std::size_t>(h);
-}
-
-NodeRef Manager::rel_next_shift_lookup(NodeRef s, NodeRef r, NodeRef cube,
-                                       std::int32_t shift) const {
-  ++hot().cache_lookups[op_slot(Op::kRelNext)];
-  if (rel_next_shift_cache_.empty()) return kInvalidRef;
-  const RelNextShiftEntry& e =
-      rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
-                            rel_next_shift_cache_mask_];
-  if (!parallel_active_) {
-    if (e.result != kInvalidRef && e.states == s && e.rel == r &&
-        e.cube == cube && e.shift == shift) {
-      ++hot().cache_hits[op_slot(Op::kRelNext)];
-      return e.result;
-    }
-    return kInvalidRef;
-  }
-  // Seqlock read, exactly as in cache_lookup(): a torn snapshot is a miss.
-  RelNextShiftEntry& me = const_cast<RelNextShiftEntry&>(e);
-  const std::uint32_t v1 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_acquire);
-  if ((v1 & 1u) != 0) return kInvalidRef;
-  const NodeRef es =
-      std::atomic_ref<NodeRef>(me.states).load(std::memory_order_relaxed);
-  const NodeRef er =
-      std::atomic_ref<NodeRef>(me.rel).load(std::memory_order_relaxed);
-  const NodeRef ec =
-      std::atomic_ref<NodeRef>(me.cube).load(std::memory_order_relaxed);
-  const std::int32_t esh =
-      std::atomic_ref<std::int32_t>(me.shift).load(std::memory_order_relaxed);
-  const NodeRef eres =
-      std::atomic_ref<NodeRef>(me.result).load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const std::uint32_t v2 =
-      std::atomic_ref<std::uint32_t>(me.version).load(std::memory_order_relaxed);
-  if (v1 != v2) return kInvalidRef;
-  if (eres != kInvalidRef && es == s && er == r && ec == cube && esh == shift) {
-    ++hot().cache_hits[op_slot(Op::kRelNext)];
-    return eres;
-  }
-  return kInvalidRef;
-}
-
-void Manager::rel_next_shift_store(NodeRef s, NodeRef r, NodeRef cube,
-                                   std::int32_t shift, NodeRef result) {
-  if (rel_next_shift_cache_.empty()) {
-    // Never reached inside a parallel region: the wrappers pre-allocate.
-    assert(!parallel_active_);
-    ensure_rel_next_shift_cache();
-  }
-  RelNextShiftEntry& e =
-      rel_next_shift_cache_[rel_next_shift_hash(s, r, cube, shift) &
-                            rel_next_shift_cache_mask_];
-  if (!parallel_active_) {
-    e = RelNextShiftEntry{s, r, cube, shift, result};
-    return;
-  }
-  // Seqlock write, exactly as in cache_store(): claim or skip (lossy).
-  std::atomic_ref<std::uint32_t> ver(e.version);
-  std::uint32_t v = ver.load(std::memory_order_relaxed);
-  if ((v & 1u) != 0) return;
-  if (!ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    return;
-  }
-  std::atomic_ref<NodeRef>(e.states).store(s, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.rel).store(r, std::memory_order_relaxed);
-  std::atomic_ref<NodeRef>(e.cube).store(cube, std::memory_order_relaxed);
-  std::atomic_ref<std::int32_t>(e.shift).store(shift,
-                                               std::memory_order_relaxed);
   std::atomic_ref<NodeRef>(e.result).store(result, std::memory_order_relaxed);
   ver.store(v + 2, std::memory_order_release);
 }

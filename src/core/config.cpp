@@ -83,15 +83,6 @@ EngineKind parse_engine_or_die(const std::string& name) {
   return *e;
 }
 
-TemplateMode parse_templates_or_die(const std::string& name) {
-  const auto m = parse_template_mode(name);
-  if (!m) {
-    bad("unknown relation-templates mode '" + name + "' (valid: " +
-        valid_template_mode_names() + ")");
-  }
-  return *m;
-}
-
 std::size_t parse_threads_or_die(const std::string& text) {
   const auto count = parse_thread_count(text);
   if (!count) {
@@ -102,12 +93,12 @@ std::size_t parse_threads_or_die(const std::string& text) {
 }
 
 /// Every wire key from_json accepts; each flag is its key, dashed
-/// ("relation_templates" -> "--relation-templates"). The rejection
+/// ("initial_nodes" -> "--initial-nodes"). The rejection
 /// messages list them, so a mistyped or retired name shows what is valid.
 constexpr const char* kOptionKeys[] = {
-    "ordering", "strategy", "engine", "threads", "relation_templates",
-    "arbitrate", "initial_nodes", "max_live_nodes", "max_seconds",
-    "max_steps", "trace", "profile",
+    "ordering", "strategy", "engine", "threads", "arbitrate",
+    "initial_nodes", "max_live_nodes", "max_seconds", "max_steps", "trace",
+    "profile",
 };
 
 std::string valid_option_names(bool as_flags) {
@@ -162,9 +153,6 @@ CheckConfig CheckConfig::from_json(const json::Value& obj) {
     } else if (key == "threads") {
       config.check.engine_options.threads =
           parse_threads_or_die(std::to_string(json_size(value, key)));
-    } else if (key == "relation_templates") {
-      config.check.engine_options.relation_templates =
-          parse_templates_or_die(value.as_string());
     } else if (key == "arbitrate") {
       for (const Value& entry : value.as_array()) {
         const auto& pair = entry.as_array();
@@ -207,12 +195,6 @@ json::Value CheckConfig::to_json() const {
   }
   if (check.engine_options.threads != defaults.check.engine_options.threads) {
     obj.set("threads", Value(check.engine_options.threads));
-  }
-  if (check.engine_options.relation_templates !=
-      defaults.check.engine_options.relation_templates) {
-    obj.set("relation_templates",
-            Value(std::string(
-                to_string(check.engine_options.relation_templates))));
   }
   if (!check.arbitration_pairs.empty()) {
     Value pairs = Value::array();
@@ -260,8 +242,6 @@ bool CheckConfig::consume_flag(const std::vector<std::string>& args,
     check.engine = parse_engine_or_die(value());
   } else if (arg == "--threads") {
     check.engine_options.threads = parse_threads_or_die(value());
-  } else if (arg == "--relation-templates") {
-    check.engine_options.relation_templates = parse_templates_or_die(value());
   } else if (arg == "--arbitrate") {
     check.arbitration_pairs.push_back(parse_arbitrate_pair(value()));
   } else if (arg == "--initial-nodes") {
@@ -314,11 +294,6 @@ std::vector<std::string> CheckConfig::to_args() const {
   if (check.engine_options.threads != defaults.check.engine_options.threads) {
     flag("--threads", std::to_string(check.engine_options.threads));
   }
-  if (check.engine_options.relation_templates !=
-      defaults.check.engine_options.relation_templates) {
-    flag("--relation-templates",
-         to_string(check.engine_options.relation_templates));
-  }
   for (const auto& [a, b] : check.arbitration_pairs) {
     flag("--arbitrate", a + "," + b);
   }
@@ -348,8 +323,6 @@ bool operator==(const CheckConfig& a, const CheckConfig& b) {
          a.check.strategy == b.check.strategy &&
          a.check.engine == b.check.engine &&
          a.check.engine_options.threads == b.check.engine_options.threads &&
-         a.check.engine_options.relation_templates ==
-             b.check.engine_options.relation_templates &&
          a.check.arbitration_pairs == b.check.arbitration_pairs &&
          a.initial_nodes == b.initial_nodes &&
          a.limits.max_live_nodes == b.limits.max_live_nodes &&

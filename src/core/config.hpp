@@ -10,9 +10,8 @@
 //
 // Layers:
 //   check          -- everything check_implementability takes (ordering,
-//                     strategy, engine, threads, relation
-//                     templates, arbitration pairs), minus the event log
-//                     the session injects;
+//                     strategy, engine, threads, arbitration pairs),
+//                     minus the event log the session injects;
 //   initial_nodes  -- initial node capacity of the session's manager;
 //   limits         -- the resource budget (util/budget.hpp) the session
 //                     arms on its manager for the duration of the check.
@@ -20,7 +19,7 @@
 // Wire form (the daemon's "options" object and `stg_check --json` input;
 // all members optional, unknown keys rejected):
 //   {"ordering":"interleaved","strategy":"chaining","engine":"cofactor",
-//    "threads":1,"relation_templates":"off",
+//    "threads":1,
 //    "arbitrate":[["g1","g2"]],"initial_nodes":16384,"max_live_nodes":0,
 //    "max_seconds":0,"max_steps":0,"trace":"out.json","profile":true}
 //
@@ -78,9 +77,9 @@ struct CheckConfig {
   /// If args[i] is a config flag, consumes it (and its value, advancing
   /// i) and returns true; returns false on anything else. Throws
   /// ModelError on a missing or malformed value. Flags:
-  ///   --ordering --strategy --engine --threads
-  ///   --relation-templates --arbitrate --initial-nodes --max-live-nodes
-  ///   --max-seconds --max-steps --trace --profile
+  ///   --ordering --strategy --engine --threads --arbitrate
+  ///   --initial-nodes --max-live-nodes --max-seconds --max-steps
+  ///   --trace --profile
   bool consume_flag(const std::vector<std::string>& args, std::size_t& i);
 
   /// Parses a vector that must consist solely of config flags. Throws

@@ -92,14 +92,9 @@ class EventLog {
   // Typed emission helpers -- one per EventKind.
   void session_start(std::string label,
                      std::vector<std::pair<std::string, double>> metrics = {});
-  /// The two template metrics are appended only when sharing is live
-  /// (template_groups > 0), so runs without it emit records identical to
-  /// the pre-template schema.
   void pass(std::size_t pass, std::size_t image_computations,
             std::size_t live_nodes, std::size_t peak_live_nodes,
-            std::size_t reached_nodes, std::size_t frontier_nodes,
-            std::size_t template_groups = 0,
-            std::size_t template_saved_nodes = 0);
+            std::size_t reached_nodes, std::size_t frontier_nodes);
   /// The metric names match the args on the kernel's `sift` trace span.
   void reorder(std::size_t live_before, std::size_t live_after,
                double seconds);

@@ -47,41 +47,6 @@ std::string valid_engine_kind_names() {
   return names;
 }
 
-namespace {
-
-constexpr TemplateMode kAllTemplateModes[] = {
-    TemplateMode::kOff,
-    TemplateMode::kOn,
-    TemplateMode::kAuto,
-};
-
-}  // namespace
-
-const char* to_string(TemplateMode mode) {
-  switch (mode) {
-    case TemplateMode::kOff: return "off";
-    case TemplateMode::kOn: return "on";
-    case TemplateMode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-std::optional<TemplateMode> parse_template_mode(std::string_view name) {
-  for (const TemplateMode mode : kAllTemplateModes) {
-    if (names_equal_dashed(name, to_string(mode))) return mode;
-  }
-  return std::nullopt;
-}
-
-std::string valid_template_mode_names() {
-  std::string names;
-  for (const TemplateMode mode : kAllTemplateModes) {
-    if (!names.empty()) names += ", ";
-    names += to_string(mode);
-  }
-  return names;
-}
-
 std::optional<std::size_t> parse_thread_count(std::string_view text) {
   if (text.empty() || text.size() > 3) return std::nullopt;
   std::size_t value = 0;
@@ -387,14 +352,14 @@ Bdd RelationalEngine::preimage_via(const Bdd& states, pn::TransitionId t) {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
-                                         const EngineOptions& options) {
+                                         const EngineOptions& /*options*/) {
   switch (kind) {
     case EngineKind::kCofactor:
       return std::make_unique<CofactorEngine>(sym);
     case EngineKind::kRelational:
       return std::make_unique<RelationalEngine>(sym);
     case EngineKind::kSaturation:
-      return std::make_unique<SaturationEngine>(sym, options);
+      return std::make_unique<SaturationEngine>(sym);
   }
   throw ModelError("unknown engine kind");
 }

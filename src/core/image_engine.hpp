@@ -66,22 +66,6 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name);
 /// Every valid engine name, comma-separated -- for CLI error messages.
 std::string valid_engine_kind_names();
 
-/// Whether the saturation backend shares one template body across
-/// structurally isomorphic relations (core/relation.hpp,
-/// detect_relation_templates) instead of retaining every instance's BDD.
-enum class TemplateMode {
-  kOff,   ///< classic path: every relation keeps its own BDD (default)
-  kOn,    ///< always detect and share; harmless when nothing is isomorphic
-  kAuto,  ///< detect, then share only if some group has >= 2 members --
-          ///< otherwise drop back to the bit-identical classic path
-};
-
-const char* to_string(TemplateMode mode);
-/// Parses 'off' / 'on' / 'auto'; nullopt for unknown names.
-std::optional<TemplateMode> parse_template_mode(std::string_view name);
-/// Every valid mode name, comma-separated -- for CLI error messages.
-std::string valid_template_mode_names();
-
 struct EngineOptions {
   /// Threads the BDD kernel may use (Manager::set_thread_count; traverse()
   /// applies it to the encoding's manager before the first image). 1 -- the
@@ -90,10 +74,6 @@ struct EngineOptions {
   /// the heavy recursions fork their cofactor branches. Canonicity keeps
   /// the results identical at any thread count.
   std::size_t threads = 1;
-  /// Isomorphism-exploiting relation templates (saturation backend only;
-  /// the other backends ignore it). kOff keeps the classic per-relation
-  /// BDDs, bit-identical to every pre-template baseline.
-  TemplateMode relation_templates = TemplateMode::kOff;
 };
 
 /// Parses a --threads value: an integer in [1, bdd::Manager::kMaxThreads].
@@ -116,16 +96,6 @@ struct ImageEngineStats {
   /// Total factors across the relational backend's clusters (the lists
   /// its image steps hand to the n-ary kernel); 0 for the other backends.
   std::size_t scheduled_conjuncts = 0;
-  /// Relation-template sharing (saturation backend with
-  /// EngineOptions::relation_templates enabled; 0 everywhere else).
-  /// Isomorphism groups actually shared (>= 2 members each).
-  std::size_t template_groups = 0;
-  /// Relations served by a template body they do not own.
-  std::size_t template_instances = 0;
-  /// Estimated BDD nodes the per-instance construction would have
-  /// retained beyond the shared bodies: sum over shared groups of
-  /// (body nodes) x (members - 1), under the current variable order.
-  std::size_t template_saved_nodes = 0;
 };
 
 /// Abstract image substrate over one SymbolicStg encoding.
@@ -306,7 +276,9 @@ class RelationalEngine final : public ImageEngine {
 };
 
 /// Builds the requested backend. The relational and saturation backends
-/// throw ModelError unless `sym` was built with primed variables.
+/// throw ModelError unless `sym` was built with primed variables. No
+/// backend reads `options` at construction: traverse() applies the
+/// thread count to the encoding's manager.
 std::unique_ptr<ImageEngine> make_engine(EngineKind kind, SymbolicStg& sym,
                                          const EngineOptions& options = {});
 

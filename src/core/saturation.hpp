@@ -3,8 +3,8 @@
 // The paper's traversal -- and both step-wise backends -- computes
 // the reached set as a global breadth-first/chaining fixpoint: frontier
 // BDDs spanning the whole state space are materialized once per pass,
-// which is exactly where the peak-live blowups live (mread8 chaining
-// 1.31M, relational+sift 7.34M). Saturation pushes the fixpoint *into*
+// which is exactly where the peak-live blowups live (mread8 sift-off:
+// chaining 1.31M, full fixpoint 1.45M). Saturation pushes the fixpoint *into*
 // the BDD recursion (bdd::Manager::reach, after Brand-Baeck-Laarman,
 // arXiv:2212.03684): relations are partitioned by the current level of
 // their top support variable, and the kernel saturates the substates
@@ -60,7 +60,7 @@ std::vector<LevelClusterInfo> level_partition(
 /// product.
 class SaturationEngine final : public ImageEngine {
  public:
-  explicit SaturationEngine(SymbolicStg& sym, const EngineOptions& options = {});
+  explicit SaturationEngine(SymbolicStg& sym);
 
   const char* name() const override { return "saturation"; }
   EngineKind kind() const override { return EngineKind::kSaturation; }
@@ -92,33 +92,15 @@ class SaturationEngine final : public ImageEngine {
   const std::vector<LevelClusterInfo>& partition() const { return partition_; }
   /// Completed kernel reach() calls.
   std::size_t reach_calls() const { return reach_calls_; }
-  /// True when relation-template sharing is live: isomorphic relations
-  /// were detected (EngineOptions::relation_templates) and every
-  /// non-representative dropped its own BDD in favour of the group's
-  /// template body (fired in place via ReachRelation::shift when the
-  /// instance sits at a uniform level displacement, stamped out through
-  /// the memoized Manager::permute otherwise). kAuto leaves this false --
-  /// and the engine bit-identical to kOff -- when no group has two
-  /// members.
-  bool templates_active() const { return templates_active_; }
-  /// The detection result backing the active sharing (empty when off).
-  const RelationTemplates& templates() const { return templates_; }
 
  protected:
   void on_reorder() override;
 
  private:
   const SparseApplyData& sparse_apply(pn::TransitionId t);
-  /// Cluster c's relation BDD: its own body when it has one, the group
-  /// template instantiated at c's position (memoized permute) when
-  /// template sharing dropped it. Singleton clusters index like
-  /// transitions, so `c` doubles as the TransitionId for image_via /
-  /// preimage_via.
-  bdd::Bdd instance_rel(std::size_t c);
   void refresh_node_stats();
   void rebuild_partition();
 
-  TemplateMode template_mode_;
   std::vector<TransitionRelation> sparse_;     // indexed by transition
   std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
   std::vector<RelationCluster> clusters_;
@@ -126,11 +108,6 @@ class SaturationEngine final : public ImageEngine {
   /// The clusters as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;
   std::size_t reach_calls_ = 0;
-  bool templates_active_ = false;
-  RelationTemplates templates_;
-  /// Per cluster: index of its group's representative (itself when it is
-  /// one, or when sharing is off).
-  std::vector<std::size_t> rep_of_;
 };
 
 }  // namespace stgcheck::core

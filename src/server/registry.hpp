@@ -70,10 +70,6 @@ struct SessionProgress {
   std::size_t peak_live_nodes = 0;
   std::size_t reached_nodes = 0;
   std::size_t frontier_nodes = 0;
-  /// Relation-template sharing gauges (0 unless the session runs the
-  /// saturation backend with --relation-templates and sharing is live).
-  std::size_t template_groups = 0;
-  std::size_t template_saved_nodes = 0;
   double at = 0;          ///< clock timestamp of the latest pass record
   double started_at = 0;  ///< clock timestamp when the scheduler picked it up
 };

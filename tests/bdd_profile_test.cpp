@@ -5,9 +5,9 @@
 // groups (binary ops / REACH / n-ary multi / permute memo) must sum to
 // exactly the aggregate cache_lookups / cache_hits. Before the split, the
 // striped multi-operand cache and the permute memo were folded into the
-// binary totals, which skewed cache_hit_rate() on scheduled and templated
-// runs -- this test pins the accounting so no future cache can silently
-// fall outside the groups.
+// binary totals, which skewed cache_hit_rate() on scheduled runs -- this
+// test pins the accounting so no future cache can silently fall outside
+// the groups.
 #include <gtest/gtest.h>
 
 #include <string>

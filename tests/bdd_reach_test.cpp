@@ -115,126 +115,6 @@ TEST(RelNext, TerminalCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Shifted template firing
-// ---------------------------------------------------------------------------
-
-/// The materialized instance of `body` (over pairs `from`) at pairs `to`.
-Bdd materialize(TwinSpace& ts, const Bdd& body,
-                const std::vector<std::size_t>& from,
-                const std::vector<std::size_t>& to) {
-  std::vector<Var> perm(ts.m.var_count());
-  for (Var v = 0; v < perm.size(); ++v) perm[v] = v;
-  for (std::size_t k = 0; k < from.size(); ++k) {
-    perm[ts.cur(from[k])] = ts.cur(to[k]);
-    perm[ts.nxt(from[k])] = ts.nxt(to[k]);
-  }
-  return ts.m.permute(body, perm);
-}
-
-TEST(RelNext, ShiftedTemplateMatchesMaterializedInstance) {
-  TwinSpace ts(6);
-  Rng rng(0x5F1);
-  for (int trial = 0; trial < 30; ++trial) {
-    // A random two-pair body over pairs {0, 1}, fired at pairs {d, d+1}
-    // for a random displacement d: with the declaration order, pair i sits
-    // at levels {2i, 2i+1}, so the level shift is 2d.
-    Bdd body = ts.m.bdd_false();
-    for (int cube = 0; cube < 2; ++cube) {
-      Bdd term = ts.m.bdd_true();
-      for (std::size_t i : {std::size_t{0}, std::size_t{1}}) {
-        term &= rng.flip() ? ts.v(i) : !ts.v(i);
-        term &= rng.flip() ? ts.vn(i) : !ts.vn(i);
-      }
-      body |= term;
-    }
-    const std::size_t d = 1 + rng.below(4);  // pairs {d, d+1} within 6
-    const Bdd inst = materialize(ts, body, {0, 1}, {d, d + 1});
-    const Bdd sup = ts.support({d, d + 1});
-    Bdd states = ts.m.bdd_false();
-    for (int cube = 0; cube < 3; ++cube) {
-      Bdd term = ts.m.bdd_true();
-      for (std::size_t i = 0; i < 6; ++i) {
-        if (rng.below(3) == 0) term &= rng.flip() ? ts.v(i) : !ts.v(i);
-      }
-      states |= term;
-    }
-    const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(2 * d);
-    EXPECT_EQ(ts.m.rel_next(states, body, sup, shift),
-              ts.m.rel_next(states, inst, sup))
-        << "trial " << trial << " d " << d;
-    ts.m.check_invariants();
-  }
-}
-
-TEST(RelNext, NegativeShiftFiresAboveTheBody) {
-  TwinSpace ts(4);
-  // Body at the bottom pair {3}: a toggle. Fire it at pair 0: shift -6.
-  const Bdd body = (ts.v(3) & !ts.vn(3)) | (!ts.v(3) & ts.vn(3));
-  const Bdd inst = materialize(ts, body, {3}, {0});
-  const Bdd states = !ts.v(0) & ts.v(1);
-  EXPECT_EQ(ts.m.rel_next(states, body, ts.support({0}), -6),
-            ts.m.rel_next(states, inst, ts.support({0})));
-  ts.m.check_invariants();
-}
-
-TEST(RelNext, ShiftedAndInPlaceProductsNeverAlias) {
-  TwinSpace ts(4);
-  // The same (states, rel, cube) operands with different shifts are
-  // different products; the dedicated shift cache must keep them apart
-  // across repeated, interleaved calls.
-  const Bdd body = ts.v(0) & !ts.vn(0);  // lower the pair's variable
-  const Bdd states = ts.v(0) & ts.v(1) & ts.v(2);
-  const Bdd in_place = ts.m.rel_next(states, body, ts.support({0}));
-  const Bdd shifted = ts.m.rel_next(states, body, ts.support({1}), 2);
-  EXPECT_EQ(in_place, !ts.v(0) & ts.v(1) & ts.v(2));
-  EXPECT_EQ(shifted, ts.v(0) & !ts.v(1) & ts.v(2));
-  EXPECT_NE(in_place, shifted);
-  EXPECT_EQ(ts.m.rel_next(states, body, ts.support({0})), in_place);
-  EXPECT_EQ(ts.m.rel_next(states, body, ts.support({1}), 2), shifted);
-  ts.m.check_invariants();
-}
-
-TEST(RelNext, RejectsShiftOffTheTwinLayout) {
-  TwinSpace ts(4);
-  const Bdd body = ts.v(0) & ts.vn(0);
-  // Shift 3 lands x0 (level 0) on level 3: pair 1's twin is there but the
-  // support cube names pair 2, whose levels are {4, 5}.
-  EXPECT_THROW(ts.m.rel_next(ts.m.bdd_true(), body, ts.support({2}), 3),
-               ModelError);
-  // An odd shift against the right pair breaks the (v, twin) alignment.
-  EXPECT_THROW(ts.m.rel_next(ts.m.bdd_true(), body, ts.support({1}), 1),
-               ModelError);
-}
-
-TEST(Reach, ShiftedChainRulesMatchMaterializedRules) {
-  // A token chain 0 -> 1 -> 2 -> 3 where every rule is the rule-0 body
-  // fired at its own displacement: reach must compute the same closure as
-  // the fully materialized rule list.
-  TwinSpace ts(5);
-  const Bdd body = ts.v(0) & !ts.vn(0) & !ts.v(1) & ts.vn(1);
-  std::vector<ReachRelation> shifted;
-  std::vector<ReachRelation> materialized;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const Bdd sup = ts.support({i, i + 1});
-    shifted.push_back(
-        ReachRelation{body, sup, static_cast<std::ptrdiff_t>(2 * i)});
-    materialized.push_back(
-        ReachRelation{materialize(ts, body, {0, 1}, {i, i + 1}), sup});
-  }
-  const Bdd init =
-      ts.v(0) & !ts.v(1) & !ts.v(2) & !ts.v(3) & !ts.v(4);
-  const Bdd via_templates = ts.m.reach(init, shifted);
-  ts.m.check_invariants();
-  EXPECT_EQ(via_templates, ts.m.reach(init, materialized));
-  // Exactly the five one-hot states.
-  EXPECT_DOUBLE_EQ(
-      ts.m.sat_count_over(via_templates, {ts.cur(0), ts.cur(1), ts.cur(2),
-                                          ts.cur(3), ts.cur(4)}),
-      5.0);
-  ts.m.check_invariants();
-}
-
-// ---------------------------------------------------------------------------
 // reach
 // ---------------------------------------------------------------------------
 

@@ -28,8 +28,6 @@ CheckConfig random_config(std::mt19937& rng) {
   config.check.strategy = static_cast<TraversalStrategy>(pick(3));
   config.check.engine = static_cast<EngineKind>(pick(3));
   config.check.engine_options.threads = 1 + static_cast<std::size_t>(pick(8));
-  config.check.engine_options.relation_templates =
-      static_cast<TemplateMode>(pick(3));
   const int pairs = pick(3);
   for (int p = 0; p < pairs; ++p) {
     config.check.arbitration_pairs.emplace_back(
@@ -106,17 +104,29 @@ void expect_rejected_naming(Parse parse,
 }
 
 TEST(CheckConfigProperty, UnknownKeysAndFlagsAreRejected) {
-  // A typo'd key, and the retired conjunct-schedule option.
-  for (const char* key : {"orderng", "schedule"}) {
+  // A typo'd key, the retired conjunct-schedule option and the retired
+  // relation-template option.
+  const struct {
+    const char* key;
+    const char* value;
+  } keys[] = {{"orderng", "support_overlap"},
+              {"schedule", "support_overlap"},
+              {"relation_templates", "auto"}};
+  for (const auto& [key, value] : keys) {
     Value obj = Value::object();
-    obj.set(key, Value(std::string("support_overlap")));
+    obj.set(key, Value(std::string(value)));
     expect_rejected_naming([&] { CheckConfig::from_json(obj); },
-                           {key, "engine", "relation_templates"});
+                           {key, "engine", "max_live_nodes"});
   }
-  for (const char* flag : {"--orderng", "--schedule"}) {
-    expect_rejected_naming(
-        [&] { CheckConfig::from_args({flag, "support-overlap"}); },
-        {flag, "--engine", "--relation-templates"});
+  const struct {
+    const char* flag;
+    const char* value;
+  } flags[] = {{"--orderng", "support-overlap"},
+               {"--schedule", "support-overlap"},
+               {"--relation-templates", "on"}};
+  for (const auto& [flag, value] : flags) {
+    expect_rejected_naming([&] { CheckConfig::from_args({flag, value}); },
+                           {flag, "--engine", "--max-live-nodes"});
   }
   EXPECT_THROW(CheckConfig::from_args({"not-a-flag"}), ModelError);
 }
@@ -130,7 +140,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
   bad_json("ordering", Value(std::string("sideways")));
   bad_json("strategy", Value(std::string("guess")));
   bad_json("engine", Value(std::string("steam")));
-  bad_json("relation_templates", Value(std::string("maybe")));
   bad_json("threads", Value(0.0));
   bad_json("threads", Value(1.5));
   bad_json("initial_nodes", Value(0.0));
@@ -146,8 +155,6 @@ TEST(CheckConfigProperty, BadValuesAreRejected) {
     EXPECT_THROW(CheckConfig::from_json(obj), ModelError);
   }
 
-  EXPECT_THROW(CheckConfig::from_args({"--relation-templates", "perhaps"}),
-               ModelError);
   // The retired relational engine names fail on both paths and list the
   // engines that exist.
   for (const char* engine : {"monolithic", "partitioned"}) {
@@ -170,11 +177,10 @@ TEST(CheckConfigProperty, FlagSpellingMatchesWireSpelling) {
   // The same names work dashed on the CLI and underscored on the wire.
   const CheckConfig from_flags = CheckConfig::from_args(
       {"--ordering", "signals-first", "--engine", "relational",
-       "--relation-templates", "auto", "--max-live-nodes", "4096"});
+       "--max-live-nodes", "4096"});
   Value obj = Value::object();
   obj.set("ordering", Value(std::string("signals_first")));
   obj.set("engine", Value(std::string("relational")));
-  obj.set("relation_templates", Value(std::string("auto")));
   obj.set("max_live_nodes", Value(4096.0));
   EXPECT_EQ(from_flags, CheckConfig::from_json(obj));
 }

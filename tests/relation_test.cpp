@@ -11,7 +11,6 @@
 #include "core/traversal.hpp"
 #include "stg/generators.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace stgcheck::core {
 namespace {
@@ -171,128 +170,6 @@ TEST_P(RelationAgainstPipeline, FramedSparseRelationIsTheFullStep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nets, RelationAgainstPipeline, ::testing::Range(0, 6));
-
-// ---------------------------------------------------------------------------
-// Isomorphic relation templates (detect_relation_templates / shape_signature)
-// ---------------------------------------------------------------------------
-
-/// A random function over `vars` as an OR of a few random cubes.
-bdd::Bdd random_function(bdd::Manager& m, const std::vector<bdd::Var>& vars,
-                         Rng& rng) {
-  Bdd f = m.bdd_false();
-  const int cubes = 1 + static_cast<int>(rng.below(4));
-  for (int c = 0; c < cubes; ++c) {
-    Bdd term = m.bdd_true();
-    for (bdd::Var v : vars) {
-      if (rng.below(3) == 0) continue;  // leave v unconstrained sometimes
-      term &= rng.flip() ? m.var(v) : !m.var(v);
-    }
-    f |= term;
-  }
-  return f;
-}
-
-TEST(RelationTemplates, SignatureInvariantUnderMonotoneRenaming) {
-  // Renaming a function onto any level-monotone target set preserves the
-  // shape signature: this is the detector's whole soundness story.
-  bdd::Manager m;
-  for (int v = 0; v < 12; ++v) m.new_var("v" + std::to_string(v));
-  Rng rng(0x7E41);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<bdd::Var> vars;
-    for (bdd::Var v = 0; v < 6; ++v) {
-      if (rng.flip()) vars.push_back(v);
-    }
-    if (vars.empty()) vars.push_back(static_cast<bdd::Var>(rng.below(6)));
-    const Bdd f = random_function(m, vars, rng);
-    // A random monotone target: a sorted subset of the upper half, one
-    // target per *actual* support variable (constants drop vars).
-    const std::vector<bdd::Var> sup = m.support(f);
-    std::vector<bdd::Var> pool{6, 7, 8, 9, 10, 11};
-    while (pool.size() > sup.size()) pool.erase(pool.begin() + rng.below(pool.size()));
-    std::vector<bdd::Var> perm(m.var_count());
-    for (bdd::Var v = 0; v < perm.size(); ++v) perm[v] = v;
-    for (std::size_t i = 0; i < sup.size(); ++i) perm[sup[i]] = pool[i];
-    const Bdd g = m.permute(f, perm);
-    EXPECT_EQ(m.shape_signature(f), m.shape_signature(g)) << "trial " << trial;
-  }
-  m.check_invariants();
-}
-
-TEST(RelationTemplates, NearMissesHaveDistinctSignatures) {
-  // Same support, same node count, different structure: the signature must
-  // separate them (grouping either would instantiate a wrong relation).
-  bdd::Manager m;
-  Bdd a = m.new_var("a");
-  Bdd b = m.new_var("b");
-  Bdd c = m.new_var("c");
-  const Bdd f1 = a & (b | c);
-  const Bdd f2 = a | (b & c);
-  ASSERT_EQ(m.support(f1), m.support(f2));
-  ASSERT_EQ(m.count_nodes(f1), m.count_nodes(f2));
-  EXPECT_NE(m.shape_signature(f1), m.shape_signature(f2));
-  // Complements share the node graph but not the function: the root edge
-  // flag must keep them apart too.
-  EXPECT_NE(m.shape_signature(f1), m.shape_signature(!f1));
-}
-
-TEST(RelationTemplates, DetectionGroupsExactlyTheIsomorphicRelations) {
-  // muller_pipeline stages repeat one C-element pattern, so detection must
-  // find shared groups -- and every member must be *exactly* the
-  // representative permuted along the reported support pairing, which is
-  // the identity the instantiation path relies on.
-  stg::Stg s = stg::muller_pipeline(8);
-  SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
-                  /*with_primed_vars=*/true);
-  bdd::Manager& m = sym.manager();
-  std::vector<TransitionRelation> sparse;
-  for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-    sparse.push_back(build_sparse_relation(sym, t));
-  }
-  const RelationTemplates tpl = detect_relation_templates(m, sparse);
-  EXPECT_GT(tpl.shared_groups, 0u);
-  EXPECT_GT(tpl.instances, 0u);
-  ASSERT_EQ(tpl.bdd_support.size(), sparse.size());
-
-  std::size_t members_total = 0;
-  for (const RelationTemplateGroup& g : tpl.groups) {
-    ASSERT_FALSE(g.members.empty());
-    members_total += g.members.size();
-    const std::size_t rep = g.members[0];
-    for (std::size_t k = 1; k < g.members.size(); ++k) {
-      const std::size_t mem = g.members[k];
-      const std::vector<bdd::Var>& rv = tpl.bdd_support[rep];
-      const std::vector<bdd::Var>& mv = tpl.bdd_support[mem];
-      ASSERT_EQ(rv.size(), mv.size());
-      std::vector<bdd::Var> perm(m.var_count());
-      for (bdd::Var v = 0; v < perm.size(); ++v) perm[v] = v;
-      for (std::size_t i = 0; i < rv.size(); ++i) perm[rv[i]] = mv[i];
-      EXPECT_EQ(m.permute(sparse[rep].rel, perm), sparse[mem].rel)
-          << "group rep " << rep << " member " << mem;
-    }
-  }
-  // The groups partition the relation list.
-  EXPECT_EQ(members_total, sparse.size());
-}
-
-TEST(RelationTemplates, NeverGroupsNearMissRelations) {
-  // Two hand-made relations with equal support sizes and node counts but
-  // different shapes: detection must keep them apart.
-  bdd::Manager m;
-  Bdd a = m.new_var("a");
-  Bdd b = m.new_var("b");
-  Bdd c = m.new_var("c");
-  TransitionRelation r1;
-  r1.t = 0;
-  r1.rel = a & (b | c);
-  TransitionRelation r2;
-  r2.t = 1;
-  r2.rel = a | (b & c);
-  const RelationTemplates tpl = detect_relation_templates(m, {r1, r2});
-  EXPECT_EQ(tpl.groups.size(), 2u);
-  EXPECT_EQ(tpl.shared_groups, 0u);
-  EXPECT_EQ(tpl.instances, 0u);
-}
 
 TEST(Relation, CountsUnaffectedByPrimedVars) {
   stg::Stg s = stg::mutex_arbiter(3);
