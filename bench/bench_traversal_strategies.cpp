@@ -1,10 +1,10 @@
 // Fig. 5 ablation: the paper's chaining traversal against a classic
 // frontier BFS, a full-fixpoint recomputation, the relational ImageEngine
 // backend (support-clustered sparse relations fired in support-overlap
-// order through the n-ary and_exists_multi kernel), and the saturation
-// backend -- each with dynamic reordering off and on. The "saturation"
-// arm computes the whole fixpoint with the in-kernel REACH operation
-// (level-partitioned relations, no whole-space frontiers; see
+// order, each cluster through the twin-pair rel_next product), and the
+// saturation backend -- each with dynamic reordering off and on. The
+// "saturation" arm computes the whole fixpoint with the in-kernel REACH
+// operation (level-partitioned relations, no whole-space frontiers; see
 // docs/architecture.md).
 //
 // Chaining lets transitions later in the pass fire from states discovered
@@ -29,7 +29,7 @@
 // Every row reports peak_intermediate_nodes: the worst transient live-node
 // overhead of a single image/preimage step (peak inside the step minus
 // live entering it), sampled by the engines' step gauges: relational
-// and_exists intermediates live here, not in any stored BDD.
+// product intermediates live here, not in any stored BDD.
 //
 // Every row also reports the kernel-health counters that complement-edge
 // and cache work move: the computed-cache hit rate and the unique-table
@@ -86,7 +86,6 @@ struct Row {
   std::size_t peak_intermediate = 0;  // worst single-step transient overhead
   std::size_t relation_nodes = 0; // 0 for the cofactor arms
   std::size_t units = 0;
-  std::size_t scheduled_conjuncts = 0;  // relational factor positions
   std::size_t reorders = 0;       // completed sift passes
   double cache_hit_rate = 0;      // computed-cache hits / lookups
   double unique_load = 0;         // unique-table nodes per bucket
@@ -94,14 +93,13 @@ struct Row {
   double states = 0;
   // Observability extras (profiling armed on every arm): phase timings,
   // the pool's steal-rate, and the per-group cache hit rates that split
-  // the aggregate cache_hit_rate (binary ops / REACH / n-ary multi /
-  // permute memo -- the groups partition the aggregate exactly).
+  // the aggregate cache_hit_rate (binary ops / REACH / permute memo --
+  // the groups partition the aggregate exactly).
   double gc_time_ms = 0;
   double sift_time_ms = 0;
   double steal_rate = 0;
   double cache_hit_binary = 0;
   double cache_hit_reach = 0;
-  double cache_hit_multi = 0;
   double cache_hit_permute = 0;
 };
 
@@ -110,11 +108,11 @@ std::vector<Row> g_rows;
 void record(const Row& row) {
   std::printf(
       "  %-22s thr=%zu passes=%4zu images=%6zu peak=%8zu live-peak=%8zu "
-      "inter=%8zu rel=%6zu units=%4zu conj=%3zu "
+      "inter=%8zu rel=%6zu units=%4zu "
       "reorders=%2zu hit=%.3f load=%.2f time=%7.3fs states=%.3e\n",
       row.arm.c_str(), row.threads, row.passes, row.images, row.peak_reached,
       row.peak_live, row.peak_intermediate, row.relation_nodes, row.units,
-      row.scheduled_conjuncts, row.reorders, row.cache_hit_rate,
+      row.reorders, row.cache_hit_rate,
       row.unique_load, row.seconds, row.states);
   std::fflush(stdout);
   g_rows.push_back(row);
@@ -142,13 +140,12 @@ void run_cofactor_arm(const stg::Stg& s, const std::string& name,
              sym.manager().peak_live_nodes(),
              engine.stats().peak_intermediate_nodes,
              engine.stats().relation_nodes, engine.stats().units,
-             engine.stats().scheduled_conjuncts,
              sym.manager().reorder_epoch(), ms.cache_hit_rate(),
              ms.unique_load_factor(), watch.seconds(), r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
              sym.manager().pool_telemetry().steal_rate,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
+             ms.permute_cache_hit_rate()});
 }
 
 void run_relation_arm(const stg::Stg& s, const std::string& name,
@@ -172,14 +169,13 @@ void run_relation_arm(const stg::Stg& s, const std::string& name,
              sym.manager().peak_live_nodes(),
              engine->stats().peak_intermediate_nodes,
              engine->stats().relation_nodes, engine->stats().units,
-             engine->stats().scheduled_conjuncts,
              sym.manager().reorder_epoch(),
              ms.cache_hit_rate(), ms.unique_load_factor(), watch.seconds(),
              r.stats.states,
              prof.gc_seconds * 1e3, prof.sift_seconds * 1e3,
              sym.manager().pool_telemetry().steal_rate,
              ms.binary_cache_hit_rate(), ms.reach_cache_hit_rate(),
-             ms.multi_cache_hit_rate(), ms.permute_cache_hit_rate()});
+             ms.permute_cache_hit_rate()});
 }
 
 void run(const stg::Stg& s, bool sift_off, bool sift_on,
@@ -259,22 +255,22 @@ void write_json(const char* path) {
                  "\"images\": %zu, \"peak_reached_nodes\": %zu, "
                  "\"peak_live_nodes\": %zu, \"peak_intermediate_nodes\": %zu, "
                  "\"relation_nodes\": %zu, "
-                 "\"units\": %zu, \"scheduled_conjuncts\": %zu, "
+                 "\"units\": %zu, "
                  "\"reorders\": %zu, "
                  "\"cache_hit_rate\": %.4f, \"unique_table_load\": %.4f, "
                  "\"gc_time_ms\": %.3f, \"sift_time_ms\": %.3f, "
                  "\"steal_rate\": %.4f, "
                  "\"cache_hit_binary\": %.4f, \"cache_hit_reach\": %.4f, "
-                 "\"cache_hit_multi\": %.4f, \"cache_hit_permute\": %.4f, "
+                 "\"cache_hit_permute\": %.4f, "
                  "\"seconds\": %.6f, \"states\": %s}%s\n",
                  r.family.c_str(), r.arm.c_str(), r.sift ? "true" : "false",
                  r.threads, r.passes, r.images,
                  r.peak_reached,
                  r.peak_live, r.peak_intermediate, r.relation_nodes, r.units,
-                 r.scheduled_conjuncts, r.reorders, r.cache_hit_rate,
+                 r.reorders, r.cache_hit_rate,
                  r.unique_load, r.gc_time_ms, r.sift_time_ms, r.steal_rate,
-                 r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_multi,
-                 r.cache_hit_permute, r.seconds, states_buf,
+                 r.cache_hit_binary, r.cache_hit_reach, r.cache_hit_permute,
+                 r.seconds, states_buf,
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fputs("]\n", f);

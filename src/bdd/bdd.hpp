@@ -194,13 +194,13 @@ using CubeLiterals = std::vector<Literal>;
 
 /// Aggregate statistics for reporting and the benches.
 /// Per-operation profile slot names (ManagerProfile::ops index). The
-/// first ten mirror the kernel's internal computed-cache op tags; kPermute
+/// first nine mirror the kernel's internal computed-cache op tags; kPermute
 /// is the cross-call permute memo, which has no cache tag of its own.
 enum class OpKind : std::uint8_t {
   kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-  kAndExistsMulti, kRelNext, kReach, kPermute,
+  kRelNext, kReach, kPermute,
 };
-constexpr std::size_t kOpKindCount = 11;
+constexpr std::size_t kOpKindCount = 10;
 const char* to_string(OpKind kind);
 
 struct ManagerStats {
@@ -212,18 +212,15 @@ struct ManagerStats {
   std::size_t unique_hits = 0;  ///< unique-table lookups that found a node
   std::size_t cache_hits = 0;   ///< computed-cache hits, all caches summed
   std::size_t cache_lookups = 0;
-  // The aggregate above, split by cache group; the four groups partition
-  // cache_lookups/cache_hits exactly (binary + reach + multi + permute ==
-  // total, pinned by a regression test). Before the split, the striped
-  // multi-operand cache and the permute memo were indistinguishable from
-  // binary-op traffic, which skewed cache_hit_rate() on scheduled runs.
+  // The aggregate above, split by cache group; the three groups partition
+  // cache_lookups/cache_hits exactly (binary + reach + permute == total,
+  // pinned by a regression test), so REACH and permute-memo traffic never
+  // skews the binary ops' hit rate.
   std::size_t binary_cache_lookups = 0;  ///< And..Restrict in the main cache
   std::size_t binary_cache_hits = 0;
   std::size_t reach_cache_lookups = 0;  ///< RelNext + Reach traffic: the
   std::size_t reach_cache_hits = 0;     ///< main cache's RelNext entries
                                         ///< and the REACH cache
-  std::size_t multi_cache_lookups = 0;  ///< n-ary striped cache
-  std::size_t multi_cache_hits = 0;
   std::size_t permute_cache_lookups = 0;  ///< cross-call permute memo
   std::size_t permute_cache_hits = 0;
   std::size_t bucket_count = 0;  ///< unique-table buckets (for load factor)
@@ -246,9 +243,6 @@ struct ManagerStats {
   }
   double reach_cache_hit_rate() const {
     return hit_rate(reach_cache_hits, reach_cache_lookups);
-  }
-  double multi_cache_hit_rate() const {
-    return hit_rate(multi_cache_hits, multi_cache_lookups);
   }
   double permute_cache_hit_rate() const {
     return hit_rate(permute_cache_hits, permute_cache_lookups);
@@ -354,18 +348,6 @@ class Manager {
   /// exists(f & g, cube) computed without building f & g (relational
   /// product).
   Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
-  /// exists(f1 & f2 & ... & fk, cube) computed without building any pairwise
-  /// conjunction: the n-ary relational product. All operands are cofactored
-  /// on their shared top level in one recursion, and a cube variable is
-  /// quantified at exactly the level where it surfaces -- the moment the
-  /// last operand still mentioning it is being consumed -- so the
-  /// accumulate-then-quantify intermediates of a binary and_exists fold
-  /// never exist. Keeps the binary kernel's low == true early termination.
-  /// Results are cached in a dedicated multi-operand cache keyed on the
-  /// sorted operand list (Op::kAndExistsMulti); lists of length <= 2
-  /// delegate to the binary AND-EXISTS cache. An empty conjunct list
-  /// denotes true. All operands must belong to this manager.
-  Bdd and_exists_multi(const std::vector<Bdd>& conjuncts, const Bdd& cube);
   /// The relational product specialized to twin-pair encodings: the
   /// successors of `states` under `rel`, i.e.
   ///
@@ -615,7 +597,7 @@ class Manager {
 
   enum class Op : std::uint8_t {
     kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-    kAndExistsMulti, kRelNext, kReach
+    kRelNext, kReach
   };
 
   struct CacheEntry {
@@ -628,17 +610,6 @@ class Manager {
     /// slot, bumped to the next even value when the entry is published.
     /// Sequential lookups and stores ignore it entirely.
     std::uint32_t version = 0;
-  };
-
-  /// One slot of the n-ary relational product cache. The fixed-width
-  /// CacheEntry cannot hold an operand list, so kAndExistsMulti results
-  /// live in their own direct-mapped table: the slot is picked by hashing
-  /// the sorted operand list (plus the cube), and the stored key is the
-  /// full list so a hash collision misses instead of returning a wrong
-  /// result. The key's last element is the cube.
-  struct MultiCacheEntry {
-    std::vector<NodeRef> key;
-    NodeRef result = kInvalidRef;
   };
 
   /// One rule of a running reach(): a relation edge, its support cube edge
@@ -676,7 +647,6 @@ class Manager {
 
   static constexpr std::uint32_t kNilIndex =
       std::numeric_limits<std::uint32_t>::max();
-  static constexpr std::size_t kMultiCacheSize = std::size_t{1} << 15;
   static constexpr std::size_t kReachCacheSize = std::size_t{1} << 15;
   static constexpr std::size_t kPermuteCacheSize = std::size_t{1} << 12;
 
@@ -743,12 +713,6 @@ class Manager {
   void cache_store(Op op, NodeRef f, NodeRef g, NodeRef h, NodeRef result);
   void clear_cache();
 
-  // Multi-operand cache (Op::kAndExistsMulti).
-  std::size_t multi_hash(const std::vector<NodeRef>& ops, NodeRef cube) const;
-  NodeRef multi_cache_lookup(const std::vector<NodeRef>& ops, NodeRef cube) const;
-  void multi_cache_store(const std::vector<NodeRef>& ops, NodeRef cube,
-                         NodeRef result);
-
   // REACH cache (Op::kReach; see ReachCacheEntry) and operand validation
   // (reach.cpp).
   std::size_t reach_hash(NodeRef states, std::size_t rule) const;
@@ -773,7 +737,6 @@ class Manager {
   NodeRef cofactor_rec(NodeRef f, NodeRef cube);
   NodeRef exists_rec(NodeRef f, NodeRef cube);
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
-  NodeRef and_exists_multi_rec(std::vector<NodeRef> ops, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);
   NodeRef reach_rec(NodeRef s, std::size_t rule);
   NodeRef restrict_rec(NodeRef f, NodeRef care);
@@ -812,8 +775,6 @@ class Manager {
   NodeRef ite_par(NodeRef f, NodeRef g, NodeRef h, int depth);
   NodeRef exists_par(NodeRef f, NodeRef cube, int depth);
   NodeRef and_exists_par(NodeRef f, NodeRef g, NodeRef cube, int depth);
-  NodeRef and_exists_multi_par(std::vector<NodeRef> ops, NodeRef cube,
-                               int depth);
   NodeRef rel_next_par(NodeRef s, NodeRef r, NodeRef cube, int depth);
   NodeRef reach_par(NodeRef s, std::size_t rule);
   /// Fires rules [begin, end) -- a maximal run with the same top level --
@@ -953,14 +914,6 @@ class Manager {
   static constexpr std::size_t op_slot(OpKind kind) {
     return static_cast<std::size_t>(kind);
   }
-
-  // Allocated lazily on the first n-ary product; cleared with cache_.
-  // Entries hold heap-allocated keys, so parallel access is striped-locked
-  // (multi_stripes_, allocated with the pool) instead of seqlocked.
-  std::vector<MultiCacheEntry> multi_cache_;
-  std::size_t multi_cache_mask_ = 0;
-  static constexpr std::size_t kMultiStripes = 256;
-  mutable std::unique_ptr<std::mutex[]> multi_stripes_;
 
   // REACH state: the rule list of the running reach() (sorted by top
   // level), its cache (allocated lazily on the first reach) and the

@@ -170,41 +170,6 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   return result;
 }
 
-Bdd Manager::and_exists_multi(const std::vector<Bdd>& conjuncts,
-                              const Bdd& cube) {
-  poll_budget();
-  ++hot().calls[op_slot(OpKind::kAndExistsMulti)];
-  ProfileTimer timer(*this, OpKind::kAndExistsMulti);
-  std::vector<NodeRef> ops;
-  ops.reserve(conjuncts.size());
-  std::size_t top = kTerminalLevel;
-  for (const Bdd& f : conjuncts) {
-    if (f.manager() != this) {
-      throw ModelError("and_exists_multi: operand from a different manager");
-    }
-    ops.push_back(f.ref());
-    top = std::min(top, level(f.ref()));
-  }
-  NodeRef raw;
-  if (pool_ != nullptr && fork_worthwhile(fork_depth_, top)) {
-    // The multi cache lazily resizes on the sequential path; pre-allocate
-    // it here so no thread does that inside the region.
-    if (multi_cache_.empty()) {
-      multi_cache_.resize(kMultiCacheSize);
-      multi_cache_mask_ = kMultiCacheSize - 1;
-    }
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return and_exists_multi_par(std::move(ops), cube.ref(), fork_depth_);
-    });
-  } else {
-    raw = and_exists_multi_rec(std::move(ops), cube.ref());
-  }
-  Bdd result = make_handle(raw);
-  maybe_gc();
-  return result;
-}
-
 Bdd Manager::restrict(const Bdd& f, const Bdd& care) {
   poll_budget();
   ++hot().calls[op_slot(OpKind::kRestrict)];
@@ -568,73 +533,6 @@ NodeRef Manager::and_exists_rec(NodeRef f, NodeRef g, NodeRef cube) {
     r = mk(v, and_exists_rec(f0, g0, cube), and_exists_rec(f1, g1, cube));
   }
   cache_store(Op::kAndExists, f, g, cube, r);
-  return r;
-}
-
-NodeRef Manager::and_exists_multi_rec(std::vector<NodeRef> ops, NodeRef cube) {
-  // Canonicalize the operand list: sorting makes the cache key unique and
-  // puts the two polarities of an edge next to each other, so duplicates
-  // and complementary pairs are adjacency checks.
-  std::sort(ops.begin(), ops.end());
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const NodeRef f = ops[i];
-    if (f == kFalse) return kFalse;
-    if (f == kTrue) continue;
-    if (out > 0 && ops[out - 1] == f) continue;
-    if (out > 0 && ops[out - 1] == bdd_not(f)) return kFalse;  // f & !f
-    ops[out++] = f;
-  }
-  ops.resize(out);
-  if (ops.empty()) return kTrue;
-  if (ops.size() == 1) return exists_rec(ops[0], cube);
-  if (ops.size() == 2) return and_exists_rec(ops[0], ops[1], cube);
-
-  // Cube variables above the shared top level constrain no remaining
-  // operand: the last operand mentioning them has been consumed, so they
-  // are quantified away right here (exists x of something independent of
-  // x is the identity).
-  std::size_t top = level(ops[0]);
-  for (std::size_t i = 1; i < ops.size(); ++i) {
-    top = std::min(top, level(ops[i]));
-  }
-  while (!is_term(cube) && level(cube) < top) cube = high_of(cube);
-  if (is_term(cube)) {
-    // Nothing left to quantify below: a plain n-ary conjunction.
-    NodeRef acc = ops[0];
-    for (std::size_t i = 1; i < ops.size(); ++i) acc = and_rec(acc, ops[i]);
-    return acc;
-  }
-
-  const NodeRef cached = multi_cache_lookup(ops, cube);
-  if (cached != kInvalidRef) return cached;
-
-  // Cofactor every operand on the shared top level at once.
-  const Var v = level2var_[top];
-  std::vector<NodeRef> ops0;
-  std::vector<NodeRef> ops1;
-  ops0.reserve(ops.size());
-  ops1.reserve(ops.size());
-  for (const NodeRef f : ops) {
-    const bool at_top = level(f) == top;
-    ops0.push_back(at_top ? low_of(f) : f);
-    ops1.push_back(at_top ? high_of(f) : f);
-  }
-
-  NodeRef r;
-  if (level(cube) == top) {
-    const NodeRef rest = high_of(cube);
-    const NodeRef low = and_exists_multi_rec(std::move(ops0), rest);
-    if (low == kTrue) {
-      r = kTrue;  // early termination: the disjunction is already everything
-    } else {
-      r = or_rec(low, and_exists_multi_rec(std::move(ops1), rest));
-    }
-  } else {
-    const NodeRef low = and_exists_multi_rec(std::move(ops0), cube);
-    r = mk(v, low, and_exists_multi_rec(std::move(ops1), cube));
-  }
-  multi_cache_store(ops, cube, r);
   return r;
 }
 

@@ -22,9 +22,8 @@
 // bucket head; readers acquire the head, and since every insertion is an
 // RMW the release sequence carries each node's pre-publication writes to
 // any thread that can reach it. The computed and REACH caches are lossy
-// seqlocks (a torn read is a miss), the multi-operand cache is
-// stripe-locked because its keys are heap vectors, and statistics live in
-// per-worker cache-line-separated blocks merged on read. GC, sifting and
+// seqlocks (a torn read is a miss), and statistics live in per-worker
+// cache-line-separated blocks merged on read. GC, sifting and
 // bucket growth never run inside a region -- end_parallel_op() settles
 // deferred work at quiescence.
 #include "bdd/bdd.hpp"
@@ -94,9 +93,6 @@ void Manager::set_thread_count(std::size_t n) {
   while ((std::size_t{1} << log2) < n) ++log2;
   fork_depth_ = log2 + 3;
   pool_ = std::make_unique<TaskPool>(n);
-  if (multi_stripes_ == nullptr) {
-    multi_stripes_ = std::make_unique<std::mutex[]>(kMultiStripes);
-  }
 }
 
 void Manager::begin_parallel_op() {
@@ -319,74 +315,6 @@ NodeRef Manager::and_exists_par(NodeRef f, NodeRef g, NodeRef cube,
     r = mk(v, low, hi.get());
   }
   cache_store(Op::kAndExists, f, g, cube, r);
-  return r;
-}
-
-NodeRef Manager::and_exists_multi_par(std::vector<NodeRef> ops, NodeRef cube,
-                                      int depth) {
-  // Canonicalization identical to the sequential core.
-  std::sort(ops.begin(), ops.end());
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const NodeRef f = ops[i];
-    if (f == kFalse) return kFalse;
-    if (f == kTrue) continue;
-    if (out > 0 && ops[out - 1] == f) continue;
-    if (out > 0 && ops[out - 1] == bdd_not(f)) return kFalse;
-    ops[out++] = f;
-  }
-  ops.resize(out);
-  if (ops.empty()) return kTrue;
-  if (ops.size() == 1) return exists_par(ops[0], cube, depth);
-  if (ops.size() == 2) return and_exists_par(ops[0], ops[1], cube, depth);
-
-  std::size_t top = level(ops[0]);
-  for (std::size_t i = 1; i < ops.size(); ++i) {
-    top = std::min(top, level(ops[i]));
-  }
-  while (!is_term(cube) && level(cube) < top) cube = high_of(cube);
-  if (is_term(cube)) {
-    NodeRef acc = ops[0];
-    for (std::size_t i = 1; i < ops.size(); ++i) {
-      acc = and_par(acc, ops[i], depth);
-    }
-    return acc;
-  }
-  if (!fork_worthwhile(depth, top)) {
-    return and_exists_multi_rec(std::move(ops), cube);
-  }
-
-  const NodeRef cached = multi_cache_lookup(ops, cube);
-  if (cached != kInvalidRef) return cached;
-
-  const Var v = level2var_[top];
-  std::vector<NodeRef> ops0;
-  std::vector<NodeRef> ops1;
-  ops0.reserve(ops.size());
-  ops1.reserve(ops.size());
-  for (const NodeRef f : ops) {
-    const bool at_top = level(f) == top;
-    ops0.push_back(at_top ? low_of(f) : f);
-    ops1.push_back(at_top ? high_of(f) : f);
-  }
-
-  NodeRef r;
-  if (level(cube) == top) {
-    const NodeRef rest = high_of(cube);
-    ForkedCall hi(*pool_, [this, o = std::move(ops1), rest, depth]() mutable {
-      return and_exists_multi_par(std::move(o), rest, depth - 1);
-    });
-    const NodeRef low = and_exists_multi_par(std::move(ops0), rest, depth - 1);
-    const NodeRef high = hi.get();
-    r = low == kTrue ? kTrue : or_par(low, high, depth - 1);
-  } else {
-    ForkedCall hi(*pool_, [this, o = std::move(ops1), cube, depth]() mutable {
-      return and_exists_multi_par(std::move(o), cube, depth - 1);
-    });
-    const NodeRef low = and_exists_multi_par(std::move(ops0), cube, depth - 1);
-    r = mk(v, low, hi.get());
-  }
-  multi_cache_store(ops, cube, r);
   return r;
 }
 

@@ -249,102 +249,82 @@ Bdd CofactorEngine::image_unit(const Bdd& states, std::size_t u) {
 }
 
 // ---------------------------------------------------------------------------
+// SparseRelationEngine
+// ---------------------------------------------------------------------------
+
+SparseRelationEngine::SparseRelationEngine(SymbolicStg& sym)
+    : ImageEngine(sym), by_transition_(sparse_relations(sym)) {}
+
+Bdd SparseRelationEngine::cluster_image(const Bdd& states,
+                                        const RelationCluster& c) {
+  sync_with_order();
+  ++stats_.image_calls;
+  StepGauge gauge(*this);
+  return sym_.manager().rel_next(states, c.rel, c.quant_cube);
+}
+
+Bdd SparseRelationEngine::cluster_preimage(const Bdd& states,
+                                           const RelationCluster& c) {
+  sync_with_order();
+  ++stats_.preimage_calls;
+  StepGauge gauge(*this);
+  bdd::Manager& m = sym_.manager();
+  return m.and_exists(m.permute(states, c.rename_to_primed), c.rel,
+                      c.primed_quant_cube);
+}
+
+Bdd SparseRelationEngine::image_via(const Bdd& states, pn::TransitionId t) {
+  return cluster_image(states, by_transition_[t]);
+}
+
+Bdd SparseRelationEngine::preimage_via(const Bdd& states, pn::TransitionId t) {
+  return cluster_preimage(states, by_transition_[t]);
+}
+
+void SparseRelationEngine::count_relation_nodes(
+    const std::vector<RelationCluster>& clusters) {
+  std::vector<Bdd> rels;
+  rels.reserve(clusters.size());
+  for (const RelationCluster& c : clusters) rels.push_back(c.rel);
+  stats_.relation_nodes = sym_.manager().count_nodes(rels);
+}
+
+// ---------------------------------------------------------------------------
 // RelationalEngine
 // ---------------------------------------------------------------------------
 
-RelationalEngine::RelationalEngine(SymbolicStg& sym) : ImageEngine(sym) {
-  const pn::PetriNet& net = sym.stg().net();
-  sparse_.reserve(net.transition_count());
-  for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-    sparse_.push_back(build_sparse_relation(sym, t));
-  }
-  sparse_apply_.resize(net.transition_count());
+RelationalEngine::RelationalEngine(SymbolicStg& sym)
+    : SparseRelationEngine(sym) {
   std::vector<RelationCluster> built =
-      cluster_relations(sym, sparse_, kClusterNodeCap);
+      cluster_relations(sym, by_transition_, kClusterNodeCap);
   std::vector<std::vector<Var>> supports;
   supports.reserve(built.size());
   for (const RelationCluster& c : built) supports.push_back(c.support);
   clusters_.reserve(built.size());
-  std::vector<Bdd> rels;
-  rels.reserve(built.size());
   for (const std::size_t c : support_overlap_order(supports)) {
     clusters_.push_back(std::move(built[c]));
-    rels.push_back(clusters_.back().rel);
-    stats_.scheduled_conjuncts += clusters_.back().factors.size();
   }
   stats_.units = clusters_.size();
-  stats_.relation_nodes = sym.manager().count_nodes(rels);
+  count_relation_nodes(clusters_);
 }
 
 void RelationalEngine::on_reorder() {
   // The relation handles survive a reorder (sifting rewrites nodes in
   // place), but their node counts -- reported by the benches -- do not.
-  std::vector<Bdd> rels;
-  rels.reserve(clusters_.size());
-  for (const RelationCluster& c : clusters_) rels.push_back(c.rel);
-  stats_.relation_nodes = sym_.manager().count_nodes(rels);
+  count_relation_nodes(clusters_);
 }
 
 Bdd RelationalEngine::image_unit(const Bdd& states, std::size_t u) {
-  // Early quantification: the n-ary kernel conjoins {states} with the
-  // cluster's factor list and quantifies only the variables the cluster
-  // constrains, each at the level where its last operand is consumed;
-  // everything else flows through `states` untouched, which is the frame
-  // condition for free. The rename then moves the primed twins back.
-  sync_with_order();
-  ++stats_.image_calls;
-  StepGauge gauge(*this);
-  const RelationCluster& c = clusters_[u];
-  bdd::Manager& m = sym_.manager();
-  std::vector<Bdd> ops;
-  ops.reserve(c.factors.size() + 1);
-  ops.push_back(states);
-  ops.insert(ops.end(), c.factors.begin(), c.factors.end());
-  return m.permute(m.and_exists_multi(ops, c.quant_cube), sym_.from_primed());
+  return cluster_image(states, clusters_[u]);
 }
 
 Bdd RelationalEngine::preimage(const Bdd& states) {
-  // The mirror image: rename into the primed frame of each cluster's
-  // support first, then quantify the primed twins.
-  sync_with_order();
   StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  Bdd result = m.bdd_false();
+  Bdd result = sym_.manager().bdd_false();
   for (const RelationCluster& c : clusters_) {
-    ++stats_.preimage_calls;
-    std::vector<Bdd> ops;
-    ops.reserve(c.factors.size() + 1);
-    ops.push_back(m.permute(states, c.rename_to_primed));
-    ops.insert(ops.end(), c.factors.begin(), c.factors.end());
-    result |= m.and_exists_multi(ops, c.primed_quant_cube);
+    result |= cluster_preimage(states, c);
   }
   return result;
-}
-
-const SparseApplyData& RelationalEngine::sparse_apply(pn::TransitionId t) {
-  SparseApplyData& a = sparse_apply_[t];
-  if (!a.built) a = build_sparse_apply(sym_, sparse_[t].support);
-  return a;
-}
-
-Bdd RelationalEngine::image_via(const Bdd& states, pn::TransitionId t) {
-  sync_with_order();
-  ++stats_.image_calls;
-  StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const Bdd next_primed =
-      m.and_exists(states, sparse_[t].rel, sparse_apply(t).quant_cube);
-  return m.permute(next_primed, sym_.from_primed());
-}
-
-Bdd RelationalEngine::preimage_via(const Bdd& states, pn::TransitionId t) {
-  sync_with_order();
-  ++stats_.preimage_calls;
-  StepGauge gauge(*this);
-  bdd::Manager& m = sym_.manager();
-  const SparseApplyData& a = sparse_apply(t);
-  const Bdd primed_states = m.permute(states, a.rename_to_primed);
-  return m.and_exists(primed_states, sparse_[t].rel, a.primed_quant_cube);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@
 //   * RelationalEngine -- the relational baseline: sparse per-transition
 //                         relations clustered by shared support under a
 //                         node cap, fired in support-overlap order, each
-//                         cluster's product run through the n-ary
-//                         and_exists_multi kernel with a quantification
-//                         cube covering exactly its own support. Under the
-//                         chaining strategy the clusters fire disjunctively
-//                         in sequence, each from the set enriched by its
-//                         predecessors.
+//                         cluster's image one twin-pair rel_next product
+//                         that quantifies exactly the cluster's support and
+//                         renames the primed twins back in one recursion.
+//                         Under the chaining strategy the clusters fire
+//                         disjunctively in sequence, each from the set
+//                         enriched by its predecessors.
 //   * SaturationEngine -- the in-kernel fixpoint (saturation.hpp): sparse
 //                         relations partitioned by the level of their top
 //                         support variable and handed to the kernel's
@@ -29,6 +29,11 @@
 //                         detects it (computes_global_fixpoint) and
 //                         replaces its pass loop with whole-space
 //                         reach_fixpoint calls.
+//
+// The two relation-backed engines share SparseRelationEngine: one sparse
+// relation per transition for the per-transition entry points, and one
+// implementation of the cluster image (rel_next) and preimage (rename into
+// the primed frame, then and_exists).
 //
 // Traversal granularity is expressed as "units": the indivisible firing
 // steps a backend offers. The cofactor backend has one unit per
@@ -89,13 +94,10 @@ struct ImageEngineStats {
   std::size_t units = 0;           ///< firing units the backend exposes
   /// Worst transient overhead of a single image/preimage step: the live-
   /// node high-water mark inside the step minus the live count entering
-  /// it, maximized over all steps. This is where and_exists intermediates
-  /// show up (the reached set and the relations are part of the entering
-  /// count, so they do not pollute it).
+  /// it, maximized over all steps. This is where relational-product
+  /// intermediates show up (the reached set and the relations are part of
+  /// the entering count, so they do not pollute it).
   std::size_t peak_intermediate_nodes = 0;
-  /// Total factors across the relational backend's clusters (the lists
-  /// its image steps hand to the n-ary kernel); 0 for the other backends.
-  std::size_t scheduled_conjuncts = 0;
 };
 
 /// Abstract image substrate over one SymbolicStg encoding.
@@ -227,16 +229,42 @@ class CofactorEngine final : public ImageEngine {
   std::vector<std::vector<pn::TransitionId>> units_;  // one transition each
 };
 
+/// The shared half of the two relation-backed backends (RelationalEngine,
+/// SaturationEngine): one singleton sparse-relation cluster per transition
+/// serves the per-transition image_via/preimage_via, and the two cluster
+/// products below are the only relational image and preimage either engine
+/// runs. Requires an encoding with primed variables.
+class SparseRelationEngine : public ImageEngine {
+ public:
+  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
+  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
+
+ protected:
+  explicit SparseRelationEngine(SymbolicStg& sym);
+
+  /// Successors of `states` under `c`: the twin-pair rel_next product,
+  /// which quantifies c's support and renames the primed twins back in one
+  /// recursion. Everything outside the support flows through `states`
+  /// untouched, which is the frame condition for free.
+  bdd::Bdd cluster_image(const bdd::Bdd& states, const RelationCluster& c);
+  /// Predecessors of `states` under `c`: rename c's support into the
+  /// primed frame, then quantify the primed twins with and_exists.
+  bdd::Bdd cluster_preimage(const bdd::Bdd& states, const RelationCluster& c);
+  /// Sets stats_.relation_nodes to the shared node count of `clusters`'
+  /// relations. The count depends on the variable order, so on_reorder()
+  /// calls this again.
+  void count_relation_nodes(const std::vector<RelationCluster>& clusters);
+
+  /// One singleton cluster per transition, indexed by transition.
+  std::vector<RelationCluster> by_transition_;
+};
+
 /// The relational baseline: sparse per-transition relations clustered by
 /// shared support under kClusterNodeCap nodes per cluster relation, one
 /// unit per cluster, the clusters fired in support_overlap_order. Each
-/// cluster's image and preimage conjoin the state set with the cluster's
-/// factor list through the n-ary kernel and quantify exactly the
-/// cluster's support, so untouched variables are never quantified at all.
-/// The per-transition image_via/preimage_via keep the binary relational
-/// product over the transition's own sparse relation. Requires an
-/// encoding with primed variables.
-class RelationalEngine final : public ImageEngine {
+/// cluster's image and preimage quantify exactly the cluster's support, so
+/// untouched variables are never quantified at all.
+class RelationalEngine final : public SparseRelationEngine {
  public:
   /// Stop growing a cluster once its relation BDD would exceed this many
   /// nodes. A single transition whose sparse relation is already larger
@@ -249,8 +277,6 @@ class RelationalEngine final : public ImageEngine {
   EngineKind kind() const override { return EngineKind::kRelational; }
 
   bdd::Bdd preimage(const bdd::Bdd& states) override;
-  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
-  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
 
   /// Units are the clusters, in firing order.
   std::size_t unit_count() const override { return clusters_.size(); }
@@ -268,11 +294,7 @@ class RelationalEngine final : public ImageEngine {
   void on_reorder() override;
 
  private:
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
-
-  std::vector<TransitionRelation> sparse_;     // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
-  std::vector<RelationCluster> clusters_;      // in firing order
+  std::vector<RelationCluster> clusters_;  // in firing order
 };
 
 /// Builds the requested backend. The relational and saturation backends

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/flat_map.hpp"
 
 namespace stgcheck::core {
 
@@ -19,36 +18,42 @@ void require_primed(const SymbolicStg& sym) {
   }
 }
 
-/// The constraints shared by both relation flavours: token moves for the
-/// places around `t` and the fired signal's flip, emitted one primitive
-/// constraint per touched variable into `factors`. Appends the touched
-/// unprimed variables to `support`; the conjunction of the factors is the
+/// The constraints of a sparse relation: token moves for the places around
+/// `t` and the fired signal's flip, one primitive constraint per touched
+/// variable, emitted into `constraints`. Appends the touched unprimed
+/// variables to `support`; the conjunction of the constraints is the
 /// sparse relation.
 void core_constraints(SymbolicStg& sym, pn::TransitionId t,
-                      std::vector<Var>& support, std::vector<Bdd>& factors) {
+                      std::vector<Var>& support, std::vector<Bdd>& constraints) {
   bdd::Manager& m = sym.manager();
   const stg::Stg& stg = sym.stg();
   const pn::PetriNet& net = stg.net();
 
   const std::vector<pn::PlaceId>& pre = net.preset(t);
   const std::vector<pn::PlaceId>& post = net.postset(t);
-  // Binary-searchable membership (util/flat_map.hpp) instead of a linear
-  // std::find per query: presets of wide joins make this quadratic.
-  const FlatSet<pn::PlaceId> pre_set(pre.begin(), pre.end());
-  const FlatSet<pn::PlaceId> post_set(post.begin(), post.end());
-  const auto in_pre = [&](pn::PlaceId p) { return pre_set.contains(p); };
-  const auto in_post = [&](pn::PlaceId p) { return post_set.contains(p); };
+  // Binary-searchable membership instead of a linear std::find per query:
+  // presets of wide joins would make this quadratic.
+  std::vector<pn::PlaceId> pre_sorted = pre;
+  std::vector<pn::PlaceId> post_sorted = post;
+  std::sort(pre_sorted.begin(), pre_sorted.end());
+  std::sort(post_sorted.begin(), post_sorted.end());
+  const auto in_pre = [&](pn::PlaceId p) {
+    return std::binary_search(pre_sorted.begin(), pre_sorted.end(), p);
+  };
+  const auto in_post = [&](pn::PlaceId p) {
+    return std::binary_search(post_sorted.begin(), post_sorted.end(), p);
+  };
 
   const auto touch_place = [&](pn::PlaceId p) {
     const Bdd cur = m.var(sym.place_var(p));
     const Bdd nxt = m.var(sym.primed_place_var(p));
     support.push_back(sym.place_var(p));
     if (in_pre(p) && in_post(p)) {
-      factors.push_back(cur & nxt);  // self-loop place: stays marked
+      constraints.push_back(cur & nxt);  // self-loop place: stays marked
     } else if (in_pre(p)) {
-      factors.push_back(cur & !nxt);  // consumed
+      constraints.push_back(cur & !nxt);  // consumed
     } else {
-      factors.push_back((!cur) & nxt);  // produced; !cur is the safeness premise
+      constraints.push_back((!cur) & nxt);  // produced; !cur is the safeness premise
     }
   };
   for (pn::PlaceId p : pre) touch_place(p);
@@ -61,9 +66,26 @@ void core_constraints(SymbolicStg& sym, pn::TransitionId t,
     const Bdd cur = m.var(sym.signal_var(label.signal));
     const Bdd nxt = m.var(sym.primed_signal_var(label.signal));
     support.push_back(sym.signal_var(label.signal));
-    factors.push_back(label.dir == stg::Dir::kPlus ? ((!cur) & nxt)
-                                                   : (cur & !nxt));
+    constraints.push_back(label.dir == stg::Dir::kPlus ? ((!cur) & nxt)
+                                                       : (cur & !nxt));
   }
+}
+
+/// Derives a cluster's quantification cubes and support-local rename map
+/// from its support.
+void finalize_cluster(SymbolicStg& sym, RelationCluster& c) {
+  bdd::Manager& m = sym.manager();
+  const std::vector<Var>& to_primed = sym.to_primed();
+  c.quant_cube = m.positive_cube(c.support);
+  c.rename_to_primed.resize(m.var_count());
+  for (Var v = 0; v < c.rename_to_primed.size(); ++v) c.rename_to_primed[v] = v;
+  std::vector<Var> primed;
+  primed.reserve(c.support.size());
+  for (Var v : c.support) {
+    c.rename_to_primed[v] = to_primed[v];
+    primed.push_back(to_primed[v]);
+  }
+  c.primed_quant_cube = m.positive_cube(primed);
 }
 
 }  // namespace
@@ -79,60 +101,32 @@ Bdd frame_constraint(SymbolicStg& sym, const std::vector<Var>& vars) {
   return frame;
 }
 
-TransitionRelation build_sparse_relation(SymbolicStg& sym, pn::TransitionId t) {
+std::vector<RelationCluster> sparse_relations(SymbolicStg& sym) {
   require_primed(sym);
-  TransitionRelation r;
-  r.t = t;
-  core_constraints(sym, t, r.support, r.factors);
-  r.rel = sym.manager().bdd_true();
-  for (const Bdd& f : r.factors) r.rel &= f;
-  std::sort(r.support.begin(), r.support.end());
-  r.support.erase(std::unique(r.support.begin(), r.support.end()),
-                  r.support.end());
-  return r;
-}
-
-SparseApplyData build_sparse_apply(SymbolicStg& sym,
-                                   const std::vector<Var>& support) {
-  require_primed(sym);
-  bdd::Manager& m = sym.manager();
-  const std::vector<Var>& to_primed = sym.to_primed();
-  SparseApplyData a;
-  a.quant_cube = m.positive_cube(support);
-  a.rename_to_primed.resize(m.var_count());
-  for (Var v = 0; v < a.rename_to_primed.size(); ++v) a.rename_to_primed[v] = v;
-  std::vector<Var> primed;
-  primed.reserve(support.size());
-  for (Var v : support) {
-    a.rename_to_primed[v] = to_primed[v];
-    primed.push_back(to_primed[v]);
+  const std::size_t n = sym.stg().net().transition_count();
+  std::vector<RelationCluster> sparse(n);
+  for (pn::TransitionId t = 0; t < n; ++t) {
+    RelationCluster& r = sparse[t];
+    r.transitions = {t};
+    std::vector<Bdd> constraints;
+    core_constraints(sym, t, r.support, constraints);
+    r.rel = sym.manager().bdd_true();
+    for (const Bdd& f : constraints) r.rel &= f;
+    std::sort(r.support.begin(), r.support.end());
+    r.support.erase(std::unique(r.support.begin(), r.support.end()),
+                    r.support.end());
   }
-  a.primed_quant_cube = m.positive_cube(primed);
-  a.built = true;
-  return a;
+  for (RelationCluster& r : sparse) finalize_cluster(sym, r);
+  return sparse;
 }
-
-namespace {
-
-void finalize_cluster(SymbolicStg& sym, RelationCluster& c) {
-  SparseApplyData a = build_sparse_apply(sym, c.support);
-  c.quant_cube = std::move(a.quant_cube);
-  c.primed_quant_cube = std::move(a.primed_quant_cube);
-  c.rename_to_primed = std::move(a.rename_to_primed);
-  // A merged cluster's relation is a disjunction, which does not factor;
-  // only singletons keep the primitive constraint list.
-  if (c.factors.empty()) c.factors = {c.rel};
-}
-
-}  // namespace
 
 std::vector<RelationCluster> cluster_relations(
-    SymbolicStg& sym, const std::vector<TransitionRelation>& sparse,
+    SymbolicStg& sym, const std::vector<RelationCluster>& sparse,
     std::size_t cap) {
   require_primed(sym);
   bdd::Manager& m = sym.manager();
   std::vector<RelationCluster> clusters;
-  for (const TransitionRelation& r : sparse) {
+  for (const RelationCluster& r : sparse) {
     // Candidate clusters ranked by shared support (descending); merging
     // into a disjoint-support cluster would only add frame padding.
     std::vector<std::pair<std::size_t, std::size_t>> candidates;  // (shared, idx)
@@ -168,21 +162,18 @@ std::vector<RelationCluster> cluster_relations(
       if (m.count_nodes(candidate_rel) > cap) continue;
       c.rel = candidate_rel;
       c.support = std::move(new_support);
-      c.transitions.push_back(r.t);
-      c.factors.clear();  // merged: the disjunction no longer factors
+      c.transitions.insert(c.transitions.end(), r.transitions.begin(),
+                           r.transitions.end());
       merged = true;
       break;
     }
-    if (!merged) {
-      RelationCluster c;
-      c.transitions.push_back(r.t);
-      c.rel = r.rel;
-      c.support = r.support;
-      c.factors = r.factors;
-      clusters.push_back(std::move(c));
-    }
+    if (!merged) clusters.push_back(r);
   }
-  for (RelationCluster& c : clusters) finalize_cluster(sym, c);
+  // A singleton keeps the cubes it came with; a merged cluster's support
+  // grew, so its cubes and rename map are derived afresh.
+  for (RelationCluster& c : clusters) {
+    if (c.transitions.size() > 1) finalize_cluster(sym, c);
+  }
   return clusters;
 }
 
@@ -192,7 +183,11 @@ std::vector<std::size_t> support_overlap_order(
   std::vector<std::size_t> order;
   order.reserve(n);
   std::vector<bool> placed(n, false);
-  FlatSet<Var> seen;
+  std::size_t var_bound = 0;
+  for (const std::vector<Var>& s : supports) {
+    for (Var v : s) var_bound = std::max<std::size_t>(var_bound, v + 1);
+  }
+  std::vector<bool> seen(var_bound, false);
   for (std::size_t step = 0; step < n; ++step) {
     std::size_t best = n;
     std::size_t best_overlap = 0;
@@ -200,7 +195,7 @@ std::vector<std::size_t> support_overlap_order(
     for (std::size_t c = 0; c < n; ++c) {
       if (placed[c]) continue;
       std::size_t overlap = 0;
-      for (Var v : supports[c]) overlap += seen.count(v);
+      for (Var v : supports[c]) overlap += seen[v] ? 1 : 0;
       const std::size_t fresh = supports[c].size() - overlap;
       if (best == n || overlap > best_overlap ||
           (overlap == best_overlap && fresh < best_new)) {
@@ -211,26 +206,9 @@ std::vector<std::size_t> support_overlap_order(
     }
     placed[best] = true;
     order.push_back(best);
-    seen.insert(supports[best].begin(), supports[best].end());
+    for (Var v : supports[best]) seen[v] = true;
   }
   return order;
-}
-
-std::vector<RelationCluster> singleton_clusters(
-    SymbolicStg& sym, const std::vector<TransitionRelation>& sparse) {
-  require_primed(sym);
-  std::vector<RelationCluster> clusters;
-  clusters.reserve(sparse.size());
-  for (const TransitionRelation& r : sparse) {
-    RelationCluster c;
-    c.transitions.push_back(r.t);
-    c.rel = r.rel;
-    c.support = r.support;
-    c.factors = r.factors;
-    finalize_cluster(sym, c);
-    clusters.push_back(std::move(c));
-  }
-  return clusters;
 }
 
 }  // namespace stgcheck::core

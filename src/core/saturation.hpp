@@ -14,8 +14,8 @@
 //
 // This module owns the core-side half of that split:
 //
-//   * level_partition() orders the sparse relation clusters (the same
-//     RelationCluster machinery the relational engine uses; per-level
+//   * level_partition() orders the per-transition sparse relations (the
+//     same RelationCluster machinery the relational engine uses; per-level
 //     clustering in the spirit of Appold's isomorphism-exploiting
 //     partitioning, arXiv:1106.1229) by top support level. The partition
 //     depends on the *current* variable order, so it is rebuilt on every
@@ -25,8 +25,9 @@
 //     ImageEngine interface: traverse() detects computes_global_fixpoint()
 //     and calls reach_fixpoint() instead of iterating units, while the
 //     implementability checks keep using the ordinary per-transition
-//     image_via/preimage_via (served from the same sparse relations, with
-//     the forward image running through the kernel's rel_next product).
+//     image_via/preimage_via, which SparseRelationEngine serves from the
+//     same sparse relations (the forward image through the kernel's
+//     rel_next product, as in the relational engine).
 #pragma once
 
 #include "core/image_engine.hpp"
@@ -54,11 +55,9 @@ std::vector<LevelClusterInfo> level_partition(
 /// The third image backend: whole-space reachability through the
 /// kernel's REACH operation. Requires an encoding with primed variables
 /// (the twin-pair layout is what the kernel's positional rename relies
-/// on). Step-wise images for the checks run on the same clusters: the
-/// forward image goes through Manager::rel_next (one in-kernel product,
-/// no rename pass), the preimage through the classic sparse relational
-/// product.
-class SaturationEngine final : public ImageEngine {
+/// on). Step-wise images for the checks run on the same relations through
+/// SparseRelationEngine's cluster products.
+class SaturationEngine final : public SparseRelationEngine {
  public:
   explicit SaturationEngine(SymbolicStg& sym);
 
@@ -70,24 +69,17 @@ class SaturationEngine final : public ImageEngine {
   /// reach() call.
   bdd::Bdd reach_fixpoint(const bdd::Bdd& from) override;
 
-  bdd::Bdd image_via(const bdd::Bdd& states, pn::TransitionId t) override;
-  bdd::Bdd preimage_via(const bdd::Bdd& states, pn::TransitionId t) override;
-
   // Units exist for the checks and for callers that step manually; the
   // traversal itself never iterates them (computes_global_fixpoint). Unit
-  // u is cluster u, in construction (transition) order.
-  std::size_t unit_count() const override { return clusters_.size(); }
+  // u is transition u's relation.
+  std::size_t unit_count() const override { return by_transition_.size(); }
   const std::vector<pn::TransitionId>& unit_transitions(std::size_t u) const override {
-    return clusters_[u].transitions;
+    return by_transition_[u].transitions;
   }
   bdd::Bdd image_unit(const bdd::Bdd& states, std::size_t u) override;
 
   // ---- Introspection (tests, benches, docs) ------------------------------
 
-  std::size_t cluster_count() const { return clusters_.size(); }
-  const std::vector<pn::TransitionId>& cluster_transitions(std::size_t c) const {
-    return clusters_[c].transitions;
-  }
   /// The current level partition (refreshed on every reorder epoch).
   const std::vector<LevelClusterInfo>& partition() const { return partition_; }
   /// Completed kernel reach() calls.
@@ -97,15 +89,10 @@ class SaturationEngine final : public ImageEngine {
   void on_reorder() override;
 
  private:
-  const SparseApplyData& sparse_apply(pn::TransitionId t);
-  void refresh_node_stats();
   void rebuild_partition();
 
-  std::vector<TransitionRelation> sparse_;     // indexed by transition
-  std::vector<SparseApplyData> sparse_apply_;  // per transition, lazily built
-  std::vector<RelationCluster> clusters_;
   std::vector<LevelClusterInfo> partition_;
-  /// The clusters as kernel reach operands, in partition order.
+  /// The relations as kernel reach operands, in partition order.
   std::vector<bdd::ReachRelation> reach_relations_;
   std::size_t reach_calls_ = 0;
 };

@@ -118,9 +118,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
     binder.maybe_bind(t, from, {&reached, &from});
   }
-  if (options.check_consistency) {
-    check_consistency_on(sym, reached, result);
-  }
+  check_consistency_on(sym, reached, result);
 
   const auto track_peak = [&](const Bdd& r) {
     const std::size_t nodes = sym.manager().count_nodes(r);
@@ -177,9 +175,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
   // consistency/safeness checks run once on the final closed set, which
   // contains every state the step-wise engines would have checked.
   if (engine.computes_global_fixpoint() && binder.unbound().empty()) {
-    // One pass, always: the whole closure is a single kernel operation,
-    // so options.max_passes (a safety valve for iterative engines) cannot
-    // bound it -- any nonzero cap admits this one pass.
     ++result.stats.passes;
     sym.manager().count_budget_step();
     {
@@ -197,18 +192,14 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
                            sym.manager().peak_live_nodes(), reached_nodes,
                            /*frontier_nodes=*/0);
     }
-    if (options.check_consistency) {
-      check_consistency_on(sym, reached, result);
-    }
-    if (options.check_safeness) {
-      for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
-        if (!engine.unsafe_states(reached, t).is_false()) {
-          result.safe = false;
-          result.safeness_detail =
-              "firing " + sym.stg().format_label(t) +
-              " deposits a second token on a successor place";
-          break;
-        }
+    check_consistency_on(sym, reached, result);
+    for (pn::TransitionId t = 0; t < net.transition_count(); ++t) {
+      if (!engine.unsafe_states(reached, t).is_false()) {
+        result.safe = false;
+        result.safeness_detail =
+            "firing " + sym.stg().format_label(t) +
+            " deposits a second token on a successor place";
+        break;
       }
     }
     // Match the step-wise engines' verdict: a violation under
@@ -224,10 +215,6 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
       // Pass boundary: the coarsest budget safe point (one pass = one
       // budget step). Finer trips land on the kernel wrapper entries.
       sym.manager().count_budget_step();
-      if (options.max_passes != 0 && result.stats.passes > options.max_passes) {
-        result.complete = false;
-        break;
-      }
 
       Bdd pass_new = sym.manager().bdd_false();
       Bdd fire_base = options.strategy == TraversalStrategy::kFullFixpoint
@@ -240,19 +227,17 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
           // its value in everything collected so far.
           binder.maybe_bind(t, fire_base, {&reached, &from, &fire_base, &pass_new});
 
-          if (options.check_safeness) {
-            // Every backend silently excludes unsafe firings from its image;
-            // detect and report them here (uniformly, from the cubes).
-            const Bdd unsafe = engine.unsafe_states(fire_base, t);
-            if (!unsafe.is_false()) {
-              result.safe = false;
-              result.safeness_detail =
-                  "firing " + sym.stg().format_label(t) +
-                  " deposits a second token on a successor place";
-              if (options.abort_on_violation) {
-                stop = true;
-                break;
-              }
+          // Every backend silently excludes unsafe firings from its image;
+          // detect and report them here (uniformly, from the cubes).
+          const Bdd unsafe = engine.unsafe_states(fire_base, t);
+          if (!unsafe.is_false()) {
+            result.safe = false;
+            result.safeness_detail =
+                "firing " + sym.stg().format_label(t) +
+                " deposits a second token on a successor place";
+            if (options.abort_on_violation) {
+              stop = true;
+              break;
             }
           }
         }
@@ -277,7 +262,7 @@ TraversalResult traverse(ImageEngine& engine, const TraversalOptions& options) {
         }
       }
 
-      if (options.check_consistency && !pass_new.is_false()) {
+      if (!pass_new.is_false()) {
         const std::size_t before = result.consistency_violations.size();
         check_consistency_on(sym, pass_new, result);
         if (options.abort_on_violation &&

@@ -60,13 +60,9 @@ struct TraversalOptions {
   /// traverse(ImageEngine&, ...) overload uses the engine it is given.
   EngineKind engine = EngineKind::kCofactor;
   EngineOptions engine_options;
-  bool check_consistency = true;
-  bool check_safeness = true;
   /// Stop as soon as an inconsistency or safeness violation is found
   /// (the paper rejects such STGs outright).
   bool abort_on_violation = true;
-  /// Hard cap on outer passes (0 = none); a safety valve for benches.
-  std::size_t max_passes = 0;
   /// Dynamic reordering (an extension beyond the paper, which used static
   /// orders only): one sift pass whenever the GC'd live node count has
   /// doubled since the last reorder (AutoSiftPolicy below). Sifting scores
@@ -142,8 +138,8 @@ struct TraversalResult {
   /// they remain unconstrained in `reached`.
   std::vector<stg::SignalId> unbound_signals;
 
-  /// True if the fixed point was reached (false only when max_passes or a
-  /// violation stopped the traversal early).
+  /// True if the fixed point was reached (false only when a violation
+  /// stopped the traversal early).
   bool complete = true;
 
   bool ok() const { return consistent && safe && complete; }

@@ -89,28 +89,6 @@ TEST(ParallelKernel, QuantificationMatchesSequentialBitForBit) {
   }
 }
 
-TEST(ParallelKernel, NaryProductMatchesSequentialBitForBit) {
-  WideSpace s;
-  Rng rng(0xFA2);
-  std::vector<Var> half;
-  for (std::size_t i = 0; i < kVars / 2; ++i) {
-    half.push_back(static_cast<Var>(i));
-  }
-  const Bdd cube = s.m.positive_cube(half);
-  for (int trial = 0; trial < 6; ++trial) {
-    s.m.set_thread_count(1);
-    std::vector<Bdd> conjuncts;
-    for (int c = 0; c < 5; ++c) {
-      conjuncts.push_back(random_function(s.m, rng, 5));
-    }
-    const Bdd seq = s.m.and_exists_multi(conjuncts, cube);
-    s.m.collect_garbage();
-    s.m.set_thread_count(4);
-    EXPECT_EQ(s.m.and_exists_multi(conjuncts, cube), seq) << "trial " << trial;
-    s.m.check_invariants();
-  }
-}
-
 /// Twin-pair manager for the relational ops: state var i at level 2i,
 /// its next-state twin right below it.
 struct TwinSpace {

@@ -141,7 +141,7 @@ TEST(SaturationPartition, OrderedByTopSupportLevel) {
                   /*with_primed_vars=*/true);
   SaturationEngine eng(sym);
   const std::vector<LevelClusterInfo>& p = eng.partition();
-  ASSERT_EQ(p.size(), eng.cluster_count());
+  ASSERT_EQ(p.size(), eng.unit_count());
   for (std::size_t i = 0; i < p.size(); ++i) {
     // top_level is the recorded variable's current level and the list
     // ascends (ties keep cluster-index order, hence GE not GT).

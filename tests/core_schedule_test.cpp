@@ -1,12 +1,14 @@
 // Relational scheduling: the support-overlap firing order is a greedy
-// permutation of the cluster list, the n-ary kernel equals the binary
-// relational product on real STG relations, and the acceptance sweep: the
-// relational engine reaches the exact same BDD and state count as the
-// cofactor pipeline on every example net, with identical images and
-// preimages.
+// permutation of the cluster list, every cluster's rel_next image and
+// primed-frame preimage equal the binary relational product on real STG
+// relations (merged, padded-disjunction clusters included), and the
+// acceptance sweep: the relational engine reaches the exact same BDD and
+// state count as the cofactor pipeline on every example net, with
+// identical images and preimages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/image_engine.hpp"
@@ -76,36 +78,78 @@ TEST(SupportOverlapOrder, SaturationKeepsConstructionOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// The n-ary kernel == the binary relational product, on real STG relations
+// The cluster products == the binary relational product, on real STG
+// relations
 // ---------------------------------------------------------------------------
 
-TEST(ScheduledFold, MatchesNaryKernelOnRandomStgs) {
+/// Checks every cluster of a relational engine over `sym` against the
+/// binary and_exists over c.rel, with the cubes and the rename map derived
+/// here from c.support: image_unit(states, u) is the product renamed back
+/// from the primed frame, and preimage(states) is the union of the
+/// products taken in the primed frame. Returns the number of merged
+/// (multi-transition, padded-disjunction) clusters checked.
+std::size_t expect_clusters_match_binary_product(SymbolicStg& sym,
+                                                 const Bdd& states,
+                                                 const std::string& what) {
+  bdd::Manager& m = sym.manager();
+  const std::vector<Var>& to_primed = sym.to_primed();
+  RelationalEngine engine(sym);
+  std::size_t merged = 0;
+  Bdd preimage = m.bdd_false();
+  for (std::size_t u = 0; u < engine.unit_count(); ++u) {
+    const RelationCluster& c = engine.clusters()[u];
+    if (c.transitions.size() > 1) ++merged;
+    std::vector<Var> rename(m.var_count());
+    for (Var v = 0; v < rename.size(); ++v) rename[v] = v;
+    std::vector<Var> primed;
+    for (const Var v : c.support) {
+      rename[v] = to_primed[v];
+      primed.push_back(to_primed[v]);
+    }
+    const Bdd image =
+        m.permute(m.and_exists(states, c.rel, m.positive_cube(c.support)),
+                  sym.from_primed());
+    EXPECT_EQ(engine.image_unit(states, u), image) << what << " unit " << u;
+    preimage |= m.and_exists(m.permute(states, rename), c.rel,
+                             m.positive_cube(primed));
+  }
+  EXPECT_EQ(engine.preimage(states), preimage) << what;
+  m.check_invariants();
+  return merged;
+}
+
+TEST(ClusterProducts, MatchBinaryProductOnRandomStgs) {
   Rng rng(0xF01D);
+  std::size_t merged = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const stg::Stg s = testutil::random_stg(rng);
     SymbolicStg sym(s, Ordering::kInterleaved, 1 << 14,
                     /*with_primed_vars=*/true);
-    bdd::Manager& m = sym.manager();
-
     CofactorEngine cofactor(sym);
     TraversalOptions topts;
     topts.abort_on_violation = false;
     const Bdd reached = traverse(cofactor, topts).reached;
-
-    for (pn::TransitionId t = 0; t < s.net().transition_count(); ++t) {
-      const TransitionRelation r = build_sparse_relation(sym, t);
-      std::vector<Bdd> ops;
-      ops.push_back(reached);
-      ops.insert(ops.end(), r.factors.begin(), r.factors.end());
-      const Bdd multi = m.and_exists_multi(ops, m.positive_cube(r.support));
-      m.check_invariants();
-      // The kernel quantifies each support variable at its last use; the
-      // result must equal the product over the conjoined relation.
-      EXPECT_EQ(multi,
-                m.and_exists(reached, r.rel, m.positive_cube(r.support)))
-          << "trial " << trial << " transition " << t;
-    }
+    const std::string what = "trial " + std::to_string(trial);
+    merged += expect_clusters_match_binary_product(sym, reached, what);
+    merged += expect_clusters_match_binary_product(sym, sym.initial_state(),
+                                                   what + " initial state");
   }
+  EXPECT_GT(merged, 0u);
+}
+
+TEST(ClusterProducts, MatchBinaryProductOnExampleNets) {
+  std::size_t merged = 0;
+  for (int i = 0; i < testutil::kExampleNetCount; ++i) {
+    const stg::Stg net = testutil::example_net(i);
+    SymbolicStg sym(net, Ordering::kInterleaved, 1 << 14,
+                    /*with_primed_vars=*/true);
+    CofactorEngine cofactor(sym);
+    TraversalOptions topts;
+    topts.abort_on_violation = false;
+    const Bdd reached = traverse(cofactor, topts).reached;
+    merged += expect_clusters_match_binary_product(sym, reached, net.name());
+  }
+  EXPECT_GT(merged, 0u);
 }
 
 // ---------------------------------------------------------------------------

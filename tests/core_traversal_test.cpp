@@ -138,15 +138,6 @@ TEST(Traversal, LazyBindingFallingFirst) {
                   .implies(r.reached));
 }
 
-TEST(Traversal, MaxPassesCapsWork) {
-  stg::Stg s = stg::muller_pipeline(6);
-  SymbolicStg sym(s);
-  TraversalOptions options;
-  options.max_passes = 1;
-  TraversalResult r = traverse(sym, options);
-  EXPECT_FALSE(r.complete);
-}
-
 TEST(Traversal, StatsArePopulated) {
   stg::Stg s = stg::muller_pipeline(4);
   SymbolicStg sym(s);

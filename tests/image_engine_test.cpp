@@ -26,14 +26,6 @@ std::unique_ptr<SymbolicStg> primed_encoding(const stg::Stg& s) {
                                        /*with_primed_vars=*/true);
 }
 
-std::vector<TransitionRelation> sparse_relations(SymbolicStg& sym) {
-  std::vector<TransitionRelation> sparse;
-  for (pn::TransitionId t = 0; t < sym.stg().net().transition_count(); ++t) {
-    sparse.push_back(build_sparse_relation(sym, t));
-  }
-  return sparse;
-}
-
 /// The unprimed state variables transition `t` touches: preset/postset
 /// places plus the fired signal -- recomputed from the net, independently
 /// of the relation builder.
@@ -54,7 +46,7 @@ std::vector<Var> touched_vars(const SymbolicStg& sym, pn::TransitionId t) {
 TEST(Clustering, NodeCapRespected) {
   const stg::Stg s = stg::master_read(5);
   auto sym = primed_encoding(s);
-  const std::vector<TransitionRelation> sparse = sparse_relations(*sym);
+  const std::vector<RelationCluster> sparse = sparse_relations(*sym);
   for (const std::size_t cap : {std::size_t{1}, std::size_t{8},
                                 std::size_t{64}, std::size_t{100000}}) {
     for (const RelationCluster& c : cluster_relations(*sym, sparse, cap)) {

@@ -74,7 +74,7 @@ TEST(Relation, RequiresPrimedEncoding) {
   SymbolicStg sym(s);  // no primed vars
   EXPECT_THROW(RelationalEngine engine(sym), ModelError);
   EXPECT_THROW(make_engine(EngineKind::kSaturation, sym), ModelError);
-  EXPECT_THROW(build_sparse_relation(sym, 0), ModelError);
+  EXPECT_THROW(sparse_relations(sym), ModelError);
 }
 
 class RelationAgainstPipeline : public ::testing::TestWithParam<int> {
@@ -152,16 +152,17 @@ TEST_P(RelationAgainstPipeline, FramedSparseRelationIsTheFullStep) {
   std::vector<bdd::Var> state_vars = sym->place_var_list();
   const std::vector<bdd::Var> signals = sym->signal_var_list();
   state_vars.insert(state_vars.end(), signals.begin(), signals.end());
+  const std::vector<RelationCluster> sparse = sparse_relations(*sym);
   for (pn::TransitionId t = 0; t < net->net().transition_count(); ++t) {
-    const TransitionRelation sparse = build_sparse_relation(*sym, t);
+    const RelationCluster& r = sparse[t];
     std::vector<bdd::Var> untouched;
     for (bdd::Var v : state_vars) {
-      if (std::find(sparse.support.begin(), sparse.support.end(), v) ==
-          sparse.support.end()) {
+      if (std::find(r.support.begin(), r.support.end(), v) ==
+          r.support.end()) {
         untouched.push_back(v);
       }
     }
-    const Bdd full = sparse.rel & frame_constraint(*sym, untouched);
+    const Bdd full = r.rel & frame_constraint(*sym, untouched);
     EXPECT_EQ(m.permute(m.and_exists(traversal.reached, full, sym->state_cube()),
                         sym->from_primed()),
               sym->image(traversal.reached, t))
