@@ -95,7 +95,7 @@ void usage() {
 int main(int argc, char** argv) {
   using namespace stgcheck;
 
-  core::SessionOptions options;
+  core::CheckConfig options;
   bool json_output = false;
   bool equations = false;
   bool explain = false;

@@ -8,16 +8,18 @@
 //
 //   usage: stg_checkd --socket <path> [--threads N]
 //     --socket  PATH   AF_UNIX socket path to listen on (required)
-//     --threads N      max concurrently running sessions (default 4,
-//                      clamped to [1, 64])
+//     --threads N      max concurrently running sessions, an integer in
+//                      [1, 64] (default 4)
 //
 // Try it:
 //   stg_checkd --socket /tmp/stg_checkd.sock &
 //   stg_checkd_client --socket /tmp/stg_checkd.sock --batch nets/*.g
 //   stg_checkd_client --socket /tmp/stg_checkd.sock --shutdown
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 #include "server/check_server.hpp"
 #include "util/error.hpp"
@@ -28,7 +30,8 @@ void usage() {
   std::fputs(
       "usage: stg_checkd --socket <path> [--threads N]\n"
       "  --socket  PATH   AF_UNIX socket path to listen on\n"
-      "  --threads N      max concurrently running sessions (default 4)\n",
+      "  --threads N      max concurrently running sessions, 1-64\n"
+      "                   (default 4)\n",
       stderr);
 }
 
@@ -50,11 +53,20 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       options.socket_path = next_arg();
     } else if (arg == "--threads") {
-      options.threads = static_cast<std::size_t>(std::atol(next_arg()));
-      if (options.threads < 1) {
-        std::fputs("--threads must be >= 1\n", stderr);
+      // The whole token must be an integer in [1, kMaxSchedulerThreads]:
+      // "4x" and "-1" are usage errors.
+      const std::string value = next_arg();
+      std::size_t threads = 0;
+      const auto [end, ec] = std::from_chars(
+          value.data(), value.data() + value.size(), threads);
+      if (ec != std::errc() || end != value.data() + value.size() ||
+          threads < 1 || threads > server::kMaxSchedulerThreads) {
+        std::fprintf(stderr, "--threads: '%s' is not an integer in [1, %zu]\n",
+                     value.c_str(), server::kMaxSchedulerThreads);
+        usage();
         return 1;
       }
+      options.threads = threads;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end exercise of the resident check server, as CI runs it:
-# start stg_checkd, submit every example net as one batch, stream the
+# check that a malformed --threads count is a usage error, start
+# stg_checkd, submit every example net as one batch, stream the
 # event records to completion, compare each daemon report field-for-field
 # against a one-shot `stg_check --json` run of the same net, exercise the
 # resource-governance path (a node-budgeted check answers a typed
@@ -27,6 +28,14 @@ cleanup() {
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
+
+echo "== --threads rejects a malformed count"
+if "$BUILD_DIR/stg_checkd" --socket "$SOCKET" --threads 4x \
+  2> "$WORK_DIR/threads.err"; then
+  echo "stg_checkd accepted --threads 4x" >&2; exit 1
+fi
+grep -q "usage: stg_checkd" "$WORK_DIR/threads.err" ||
+  { echo "--threads 4x did not print the usage error" >&2; exit 1; }
 
 "$BUILD_DIR/stg_checkd" --socket "$SOCKET" --threads 4 &
 DAEMON_PID=$!

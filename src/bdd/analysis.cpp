@@ -159,51 +159,6 @@ Bdd Manager::pick_one_minterm(const Bdd& f, const std::vector<Var>& vars) {
   return cube(literals);
 }
 
-std::vector<CubeLiterals> Manager::all_sat(const Bdd& f,
-                                           const std::vector<Var>& vars,
-                                           std::size_t limit) const {
-  // Order the requested variables by level so the BDD walk visits them in
-  // order; variables outside f's support are expanded explicitly.
-  std::vector<Var> ordered = vars;
-  std::sort(ordered.begin(), ordered.end(), [this](Var a, Var b) {
-    return var2level_[a] < var2level_[b];
-  });
-  for (Var v : support(f)) {
-    if (std::find(ordered.begin(), ordered.end(), v) == ordered.end()) {
-      throw ModelError("all_sat: support of f exceeds the given variables");
-    }
-  }
-
-  std::vector<CubeLiterals> result;
-  CubeLiterals current;
-  std::function<void(NodeRef, std::size_t)> go = [&](NodeRef r, std::size_t i) {
-    if (r == kFalse) return;
-    if (i == ordered.size()) {
-      assert(r == kTrue);
-      if (result.size() >= limit) {
-        throw LimitError("all_sat: more than " + std::to_string(limit) +
-                         " assignments");
-      }
-      result.push_back(current);
-      return;
-    }
-    const Var v = ordered[i];
-    NodeRef low = r;
-    NodeRef high = r;
-    if (!is_term(r) && deref(r).var == v) {
-      low = low_of(r);
-      high = high_of(r);
-    }
-    current.push_back(Literal{v, false});
-    go(low, i + 1);
-    current.back().positive = true;
-    go(high, i + 1);
-    current.pop_back();
-  };
-  go(f.ref(), 0);
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------------

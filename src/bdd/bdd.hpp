@@ -7,10 +7,9 @@
 //
 //   * mk / ITE / AND / OR / XOR / NOT                      (Sec. 4)
 //   * cofactor with respect to a cube of literals           (delta_N)
-//   * existential / universal abstraction and AND-EXISTS    (ER/QR, Sec. 5.3)
+//   * existential abstraction and AND-EXISTS                (ER/QR, Sec. 5.3)
 //   * rel_next / reach: the twin-pair relational product and the in-kernel
 //     saturation fixpoint (REACH) behind the SaturationEngine backend
-//   * Coudert-Madre restrict (cover simplification)
 //   * SAT counting (the "# of states" column of Table 1)
 //   * node counting (the "BDD size peak|final" column of Table 1)
 //   * garbage collection driven by reference counts
@@ -35,8 +34,8 @@
 // normalizes its standard triple the same way -- first argument regular,
 // then-argument regular, output complement pulled out -- so the
 // (f, g, NOT h) variants of a call share one computed-cache slot, and
-// OR/NOT/FORALL are derived from AND/EXISTS through De Morgan instead of
-// holding cache space of their own.
+// OR/NOT are derived from AND through De Morgan instead of holding cache
+// space of their own.
 //
 // Nodes live in a chunked arena (stable chunk pointers, so concurrent
 // readers are never invalidated by growth). Reference counts include both
@@ -194,13 +193,13 @@ using CubeLiterals = std::vector<Literal>;
 
 /// Aggregate statistics for reporting and the benches.
 /// Per-operation profile slot names (ManagerProfile::ops index). The
-/// first nine mirror the kernel's internal computed-cache op tags; kPermute
+/// first eight mirror the kernel's internal computed-cache op tags; kPermute
 /// is the cross-call permute memo, which has no cache tag of its own.
 enum class OpKind : std::uint8_t {
-  kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-  kRelNext, kReach, kPermute,
+  kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRelNext, kReach,
+  kPermute,
 };
-constexpr std::size_t kOpKindCount = 10;
+constexpr std::size_t kOpKindCount = 9;
 const char* to_string(OpKind kind);
 
 struct ManagerStats {
@@ -343,8 +342,6 @@ class Manager {
   Bdd cofactor(const Bdd& f, const Bdd& cube);
   /// Existential abstraction of the (positive) cube variables.
   Bdd exists(const Bdd& f, const Bdd& cube);
-  /// Universal abstraction of the (positive) cube variables.
-  Bdd forall(const Bdd& f, const Bdd& cube);
   /// exists(f & g, cube) computed without building f & g (relational
   /// product).
   Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
@@ -378,9 +375,6 @@ class Manager {
   /// from related seed sets share work. Every relation must satisfy the
   /// twin-pair layout of rel_next.
   Bdd reach(const Bdd& states, const std::vector<ReachRelation>& relations);
-  /// Coudert-Madre restrict: simplifies f using `care` as a care set; the
-  /// result agrees with f on `care`.
-  Bdd restrict(const Bdd& f, const Bdd& care);
   /// Variable substitution f[v := perm[v]], valid for any variable order.
   /// `perm` must cover f's support, map into existing variables, and be
   /// injective on the support (a duplicated target would not be a
@@ -414,10 +408,6 @@ class Manager {
   /// One satisfying assignment of f as a cube over `vars` (f must not be
   /// false; variables outside f's support are set to 0).
   Bdd pick_one_minterm(const Bdd& f, const std::vector<Var>& vars);
-  /// All satisfying assignments of f over `vars`, enumerated as literal
-  /// vectors. Throws LimitError if there are more than `limit`.
-  std::vector<CubeLiterals> all_sat(const Bdd& f, const std::vector<Var>& vars,
-                                    std::size_t limit = 1u << 20) const;
 
   // ---- ISOP --------------------------------------------------------------
 
@@ -596,8 +586,7 @@ class Manager {
   };
 
   enum class Op : std::uint8_t {
-    kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRestrict,
-    kRelNext, kReach
+    kAnd, kXor, kIte, kExists, kAndExists, kCofactor, kRelNext, kReach
   };
 
   struct CacheEntry {
@@ -726,8 +715,8 @@ class Manager {
                              const std::vector<char>& twin_mask) const;
 
   // Recursive cores (raw NodeRef level; no GC may run while these are on
-  // the stack). OR, NOT and FORALL are not recursions of their own: they
-  // are De Morgan duals of AND and EXISTS, sharing their caches.
+  // the stack). OR and NOT are not recursions of their own: OR is the
+  // De Morgan dual of AND, sharing its cache.
   NodeRef and_rec(NodeRef f, NodeRef g);
   NodeRef or_rec(NodeRef f, NodeRef g) {
     return bdd_not(and_rec(bdd_not(f), bdd_not(g)));
@@ -739,7 +728,6 @@ class Manager {
   NodeRef and_exists_rec(NodeRef f, NodeRef g, NodeRef cube);
   NodeRef rel_next_rec(NodeRef s, NodeRef r, NodeRef cube);
   NodeRef reach_rec(NodeRef s, std::size_t rule);
-  NodeRef restrict_rec(NodeRef f, NodeRef care);
   NodeRef permute_rec(NodeRef f, const std::vector<Var>& perm,
                       std::unordered_map<NodeRef, NodeRef>& memo);
   NodeRef permute_general_rec(NodeRef f, const std::vector<Var>& perm,

@@ -663,7 +663,6 @@ const char* to_string(OpKind kind) {
     case OpKind::kExists: return "exists";
     case OpKind::kAndExists: return "and_exists";
     case OpKind::kCofactor: return "cofactor";
-    case OpKind::kRestrict: return "restrict";
     case OpKind::kRelNext: return "rel_next";
     case OpKind::kReach: return "reach";
     case OpKind::kPermute: return "permute";

@@ -4,10 +4,10 @@
 // external reference, and only then call maybe_gc().
 //
 // Complement-edge cache discipline: NOT is free (flip the flag), OR is
-// De Morgan over AND, FORALL is De Morgan over EXISTS, XOR strips both
-// complement flags into an output flag, and ITE normalizes its standard
-// triple (regular predicate, regular then-argument) -- so every variant of
-// a call that differs only in argument polarity lands on one cache slot.
+// De Morgan over AND, XOR strips both complement flags into an output
+// flag, and ITE normalizes its standard triple (regular predicate, regular
+// then-argument) -- so every variant of a call that differs only in
+// argument polarity lands on one cache slot.
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
@@ -132,25 +132,6 @@ Bdd Manager::exists(const Bdd& f, const Bdd& cube) {
   return result;
 }
 
-Bdd Manager::forall(const Bdd& f, const Bdd& cube) {
-  poll_budget();
-  ++hot().calls[op_slot(OpKind::kExists)];
-  ProfileTimer timer(*this, OpKind::kExists);
-  // De Morgan: forall x. f == not exists x. not f -- shares the EXISTS cache.
-  NodeRef raw;
-  if (pool_ != nullptr && fork_worthwhile(fork_depth_, level(f.ref()))) {
-    ParallelRegion region(*this);
-    raw = pool_->run_root([&] {
-      return bdd_not(exists_par(bdd_not(f.ref()), cube.ref(), fork_depth_));
-    });
-  } else {
-    raw = bdd_not(exists_rec(bdd_not(f.ref()), cube.ref()));
-  }
-  Bdd result = make_handle(raw);
-  maybe_gc();
-  return result;
-}
-
 Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
   poll_budget();
   ++hot().calls[op_slot(OpKind::kAndExists)];
@@ -166,15 +147,6 @@ Bdd Manager::and_exists(const Bdd& f, const Bdd& g, const Bdd& cube) {
     raw = and_exists_rec(f.ref(), g.ref(), cube.ref());
   }
   Bdd result = make_handle(raw);
-  maybe_gc();
-  return result;
-}
-
-Bdd Manager::restrict(const Bdd& f, const Bdd& care) {
-  poll_budget();
-  ++hot().calls[op_slot(OpKind::kRestrict)];
-  ProfileTimer timer(*this, OpKind::kRestrict);
-  Bdd result = make_handle(restrict_rec(f.ref(), care.ref()));
   maybe_gc();
   return result;
 }
@@ -533,50 +505,6 @@ NodeRef Manager::and_exists_rec(NodeRef f, NodeRef g, NodeRef cube) {
     r = mk(v, and_exists_rec(f0, g0, cube), and_exists_rec(f1, g1, cube));
   }
   cache_store(Op::kAndExists, f, g, cube, r);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Coudert-Madre restrict
-// ---------------------------------------------------------------------------
-
-NodeRef Manager::restrict_rec(NodeRef f, NodeRef care) {
-  if (care == kTrue || is_term(f)) return f;
-  if (care == kFalse) return f;  // degenerate care set: leave f unchanged
-
-  NodeRef cached = cache_lookup(Op::kRestrict, f, care, kFalse);
-  if (cached != kInvalidRef) return cached;
-
-  const std::size_t lf = level(f);
-  const std::size_t lc = level(care);
-  NodeRef r;
-  if (lc < lf) {
-    // The care set constrains a variable f does not test: smooth it out.
-    const NodeRef clow = low_of(care);
-    const NodeRef chigh = high_of(care);
-    if (clow == kFalse) {
-      r = restrict_rec(f, chigh);
-    } else if (chigh == kFalse) {
-      r = restrict_rec(f, clow);
-    } else {
-      r = restrict_rec(f, or_rec(clow, chigh));
-    }
-  } else {
-    const Var v = deref(f).var;
-    const NodeRef flow = low_of(f);
-    const NodeRef fhigh = high_of(f);
-    const NodeRef c0 = lc == lf ? low_of(care) : care;
-    const NodeRef c1 = lc == lf ? high_of(care) : care;
-    if (c0 == kFalse) {
-      r = restrict_rec(fhigh, c1);
-    } else if (c1 == kFalse) {
-      r = restrict_rec(flow, c0);
-    } else {
-      const NodeRef low = restrict_rec(flow, c0);
-      r = mk(v, low, restrict_rec(fhigh, c1));
-    }
-  }
-  cache_store(Op::kRestrict, f, care, kFalse, r);
   return r;
 }
 

@@ -37,13 +37,6 @@
 
 namespace stgcheck::core {
 
-// The clock interface moved to util/clock.hpp so the trace recorder and
-// metrics layer (which sit below core) can share it; these aliases keep
-// every existing core::Clock consumer compiling unchanged.
-using Clock = stgcheck::Clock;
-using SteadyClock = stgcheck::SteadyClock;
-using ManualClock = stgcheck::ManualClock;
-
 /// What a record reports. The wire names (server/protocol.cpp and the
 /// --json output use to_string below) are part of the protocol schema
 /// documented in docs/architecture.md.

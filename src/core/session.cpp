@@ -16,7 +16,7 @@ const char* to_string(SessionOutcome outcome) {
   return "?";
 }
 
-CheckSession::CheckSession(stg::Stg stg, SessionOptions options,
+CheckSession::CheckSession(stg::Stg stg, CheckConfig options,
                            const Clock* clock, EventLog::Sink sink)
     : stg_(std::move(stg)),
       options_(std::move(options)),

@@ -12,7 +12,7 @@
 //   * the SymbolicStg encoding, which owns the session's private
 //     bdd::Manager (created in run(), so a queued session costs nothing
 //     until a scheduler thread picks it up),
-//   * the resolved SessionOptions,
+//   * the resolved CheckConfig,
 //   * the EventLog (core/events.hpp) every stage reports into, stamped by
 //     an injected clock and optionally streamed record-by-record.
 //
@@ -37,11 +37,6 @@
 
 namespace stgcheck::core {
 
-/// Historical name: the session consumes the unified CheckConfig
-/// (core/config.hpp) directly -- check pipeline options, manager sizing
-/// and the resource budget the session arms on its manager.
-using SessionOptions = CheckConfig;
-
 /// How run() ended. kCompleted is the only outcome with a full report;
 /// the governed outcomes carry the BudgetTrip gauges instead (trip()).
 enum class SessionOutcome {
@@ -61,7 +56,7 @@ class CheckSession {
   /// `clock` is borrowed and may be shared across sessions (it is only
   /// read); null means "own steady clock starting now". `sink`, when set,
   /// receives every event record at emission on the session's thread.
-  explicit CheckSession(stg::Stg stg, SessionOptions options = {},
+  explicit CheckSession(stg::Stg stg, CheckConfig options = {},
                         const Clock* clock = nullptr,
                         EventLog::Sink sink = nullptr);
 
@@ -69,7 +64,7 @@ class CheckSession {
   CheckSession& operator=(const CheckSession&) = delete;
 
   const stg::Stg& stg() const { return stg_; }
-  const SessionOptions& options() const { return options_; }
+  const CheckConfig& options() const { return options_; }
   EventLog& events() { return events_; }
   const EventLog& events() const { return events_; }
 
@@ -111,7 +106,7 @@ class CheckSession {
 
  private:
   stg::Stg stg_;
-  SessionOptions options_;
+  CheckConfig options_;
   EventLog events_;
   std::unique_ptr<TraceRecorder> trace_;
   std::shared_ptr<SymbolicStg> sym_;

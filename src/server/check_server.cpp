@@ -26,8 +26,6 @@ namespace {
   throw Error("stg_checkd: " + what + ": " + std::strerror(errno));
 }
 
-constexpr std::size_t kMaxSchedulerThreads = 64;  // bdd::Manager::kMaxThreads
-
 /// Decodes a kPass record's named metrics into the registry's gauge
 /// struct (started_at is the registry's own, preserved by note_pass).
 SessionProgress progress_from_pass(const core::EventRecord& record) {
@@ -352,7 +350,7 @@ void CheckServer::handle_metrics(const std::shared_ptr<Connection>& conn,
     // Server-cumulative view: every finished session folded together.
     reply.set("sessions", Value(metrics_sessions_));
     reply.set("uptime", Value(clock_.seconds()));
-    reply.set("metrics", metrics_.snapshot().to_json());
+    reply.set("metrics", metrics_.to_json());
     conn->write_line(reply.dump());
     return;
   }
@@ -409,8 +407,8 @@ void CheckServer::submit_checks(const std::shared_ptr<Connection>& conn,
       continue;
     }
 
-    // The scheduler/quiescence rule (server/scheduler.hpp): in-daemon
-    // sessions never spin up an inner kernel pool.
+    // Whole sessions are the daemon's parallelism (server/scheduler.hpp):
+    // in-daemon sessions never start a kernel pool.
     check.options.check.engine_options.threads = 1;
 
     // Every in-daemon session gets a cancel token, whatever its other

@@ -5,7 +5,7 @@
 //   * the AF_UNIX listening socket and an accept-loop thread,
 //   * one reader thread per client connection,
 //   * the SessionRegistry (id -> session lifecycle),
-//   * the SessionScheduler (N concurrent sessions on a TaskPool),
+//   * the SessionScheduler (N concurrent sessions on N worker threads),
 //   * one SteadyClock shared by every session, so all streamed timestamps
 //     are seconds since server start on a single axis.
 //
@@ -20,9 +20,8 @@
 // scheduler queue.
 //
 // In-daemon sessions run with kernel threads = 1, always: concurrency
-// comes from the scheduler running whole sessions in parallel. See
-// server/scheduler.hpp for why nesting kernel pools under scheduler
-// workers is forbidden.
+// comes from the scheduler running whole sessions in parallel (see
+// server/scheduler.hpp).
 //
 // Shutdown: stop() only signals (a self-pipe every poll() watches plus a
 // listener close) so it is safe from any thread -- including a connection
@@ -49,12 +48,16 @@
 
 namespace stgcheck::server {
 
+/// Bounds the session threads one ServerOptions::threads value (one
+/// `stg_checkd --threads` flag) can start.
+inline constexpr std::size_t kMaxSchedulerThreads = 64;
+
 struct ServerOptions {
   /// Filesystem path of the AF_UNIX socket; at most ~100 chars (sun_path).
   /// An existing socket file at the path is replaced.
   std::string socket_path;
-  /// Max concurrently running sessions; clamped to [1, 64] (the kernel's
-  /// per-manager worker-stat arrays are sized for 64 thread ids).
+  /// Max concurrently running sessions = scheduler worker threads;
+  /// clamped to [1, kMaxSchedulerThreads].
   std::size_t threads = 4;
 };
 
@@ -101,13 +104,13 @@ class CheckServer {
                      std::vector<CheckRequest> checks, bool is_batch,
                      std::string batch_id);
   /// Folds a finished session's snapshot into the server-cumulative
-  /// registry and the bounded per-session ring. Called by scheduler jobs
+  /// snapshot and the bounded per-session ring. Called by scheduler jobs
   /// just before registry_.finish() destroys the session.
   void record_session_metrics(const std::string& id,
                               const metrics::MetricsSnapshot& snap);
 
   ServerOptions options_;
-  core::SteadyClock clock_;  // one time axis for every session
+  SteadyClock clock_;  // one time axis for every session
   SessionRegistry registry_;
   SessionScheduler scheduler_;
 
@@ -125,7 +128,7 @@ class CheckServer {
   /// oldest evicted past kSessionMetricsKeep.
   static constexpr std::size_t kSessionMetricsKeep = 32;
   std::mutex metrics_mu_;
-  metrics::MetricsRegistry metrics_;  ///< server-cumulative fold
+  metrics::MetricsSnapshot metrics_;  ///< server-cumulative fold
   std::size_t metrics_sessions_ = 0;  ///< sessions folded in
   std::deque<std::pair<std::string, metrics::MetricsSnapshot>>
       session_metrics_;

@@ -30,7 +30,7 @@ std::string string_member(const Value& obj, std::string_view key,
 }
 
 CheckRequest parse_check_entry(const Value& obj,
-                               const core::SessionOptions& defaults) {
+                               const core::CheckConfig& defaults) {
   CheckRequest check;
   check.id = string_member(obj, "id", false);
   check.net_text = string_member(obj, "net", true);
@@ -66,7 +66,7 @@ std::optional<ErrorCode> parse_error_code(std::string_view name) {
   return std::nullopt;
 }
 
-core::SessionOptions parse_session_options(const json::Value& obj) {
+core::CheckConfig parse_session_options(const json::Value& obj) {
   return core::CheckConfig::from_json(obj);
 }
 
@@ -100,14 +100,14 @@ Request parse_request(const std::string& line) {
     request.session_id = string_member(doc, "session", false);
   } else if (op == "check") {
     request.op = Request::Op::kCheck;
-    request.checks.push_back(parse_check_entry(doc, core::SessionOptions{}));
+    request.checks.push_back(parse_check_entry(doc, core::CheckConfig{}));
   } else if (op == "batch") {
     request.op = Request::Op::kBatch;
     request.batch_id = string_member(doc, "id", false);
     const Value* options = doc.find("options");
-    const core::SessionOptions defaults = options != nullptr
-                                              ? parse_session_options(*options)
-                                              : core::SessionOptions{};
+    const core::CheckConfig defaults = options != nullptr
+                                           ? parse_session_options(*options)
+                                           : core::CheckConfig{};
     const Value* nets = doc.find("nets");
     if (nets == nullptr) bad("batch needs a 'nets' array");
     for (const Value& entry : nets->as_array()) {

@@ -82,7 +82,7 @@ class ProtocolError : public ModelError {
 struct CheckRequest {
   std::string id;        ///< empty = server assigns one
   std::string net_text;  ///< .g / astg source
-  core::SessionOptions options;
+  core::CheckConfig options;
 };
 
 struct Request {
@@ -102,7 +102,7 @@ Request parse_request(const std::string& line);
 /// Parses the "options" object -- the wire form of core::CheckConfig.
 /// Unknown keys throw. (Thin forwarder kept for callers predating the
 /// unified config; new code calls core::CheckConfig::from_json.)
-core::SessionOptions parse_session_options(const json::Value& obj);
+core::CheckConfig parse_session_options(const json::Value& obj);
 
 /// One event record as a JSON object: {"event":kind,"at":seconds} plus,
 /// when present, "label", "ok", "detail" and a "metrics" object (empty

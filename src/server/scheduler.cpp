@@ -1,45 +1,35 @@
 #include "server/scheduler.hpp"
 
+#include <iterator>
 #include <utility>
-#include <vector>
 
 namespace stgcheck::server {
 
-namespace {
-
-struct JobTask final : TaskPool::Task {
-  SessionScheduler::Job* job = nullptr;
-  void run() override {
-    try {
-      (*job)();
-    } catch (...) {
-      // Jobs are contractually non-throwing (scheduler.hpp); swallowing
-      // here keeps a violation from skipping the sibling joins.
-    }
+SessionScheduler::SessionScheduler(std::size_t threads) {
+  const std::size_t n = threads < 1 ? 1 : threads;
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
-};
-
-}  // namespace
-
-SessionScheduler::SessionScheduler(std::size_t threads)
-    : threads_(threads < 1 ? 1 : threads),
-      pool_(threads_ >= 2 ? std::make_unique<TaskPool>(threads_) : nullptr),
-      dispatcher_([this] { dispatcher_loop(); }) {}
+}
 
 SessionScheduler::~SessionScheduler() { stop(); }
 
 void SessionScheduler::submit(Job job) {
+  bool idle = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
     queue_.push_back(std::move(job));
+    idle = wave_.empty();
   }
-  wake_cv_.notify_one();
+  // Mid-wave jobs wake nobody: the wave's last worker opens the next one.
+  if (idle) work_cv_.notify_one();
 }
 
 void SessionScheduler::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && wave_.empty(); });
 }
 
 void SessionScheduler::stop() {
@@ -50,53 +40,41 @@ void SessionScheduler::stop() {
     join_here = !join_claimed_;
     join_claimed_ = true;
   }
-  wake_cv_.notify_all();
-  if (join_here) dispatcher_.join();
+  work_cv_.notify_all();
+  if (!join_here) return;
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void SessionScheduler::dispatcher_loop() {
+void SessionScheduler::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::vector<Job> wave;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) break;  // stopping_ and nothing left to run
-      wave.assign(std::make_move_iterator(queue_.begin()),
-                  std::make_move_iterator(queue_.end()));
+    if (wave_.empty() && !queue_.empty()) {  // the whole queue is one wave
+      wave_.assign(std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(queue_.end()));
       queue_.clear();
-      running_ = wave.size();
+      next_ = 0;
+      work_cv_.notify_all();
     }
-
-    if (pool_ != nullptr) {
-      pool_->run_root([&] {
-        // Tasks live on this frame; every fork is joined below, so none
-        // outlives the region (the TaskPool contract).
-        std::vector<JobTask> tasks(wave.size());
-        for (std::size_t i = 0; i < wave.size(); ++i) {
-          tasks[i].job = &wave[i];
-          pool_->fork(&tasks[i]);
-        }
-        // Reverse order: the newest fork is the likeliest to still be on
-        // our own deque, so it runs inline instead of being waited on.
-        for (std::size_t i = wave.size(); i-- > 0;) {
-          pool_->join(&tasks[i]);
-        }
-      });
-    } else {
-      for (Job& job : wave) {
-        try {
-          job();
-        } catch (...) {
-          // See JobTask::run.
-        }
+    if (next_ < wave_.size()) {
+      Job job = std::move(wave_[next_++]);
+      ++running_;
+      lock.unlock();
+      try {
+        job();
+      } catch (...) {
+        // Jobs are contractually non-throwing (scheduler.hpp); swallowing
+        // here keeps a violation from stalling the wave.
       }
+      job = nullptr;  // release the job's captures outside the lock
+      lock.lock();
+      if (--running_ == 0 && next_ == wave_.size()) {
+        wave_.clear();  // the wave is over; the loop top opens the next
+        if (queue_.empty()) idle_cv_.notify_all();
+      }
+      continue;
     }
-
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      running_ = 0;
-    }
-    idle_cv_.notify_all();
+    if (stopping_ && queue_.empty()) return;  // nothing left to hand out
+    work_cv_.wait(lock);
   }
 }
 

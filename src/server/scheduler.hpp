@@ -1,16 +1,13 @@
-// The daemon's session scheduler: N concurrent check sessions on top of
-// the fork/join TaskPool (util/task_pool.hpp).
+// The daemon's session scheduler: N concurrent check sessions on N
+// persistent plain worker threads, in waves.
 //
-// TaskPool is a fork/join pool: run_root() is a blocking region whose
-// caller becomes worker 0, and every forked task must be joined inside
-// that region. A daemon needs the opposite shape -- fire-and-forget jobs
-// arriving at any time -- so this class bridges the two with a dispatcher
-// thread running wave-based scheduling: the dispatcher sleeps until jobs
-// are queued, then drains the whole queue into one run_root() region,
-// forking one task per job and joining them all before looking at the
-// queue again. The pool's work stealing balances sessions across workers
-// within a wave. Jobs submitted mid-wave wait for the next wave, so one
-// long session holds back every request behind it.
+// Wave policy: when no wave is running, the whole queue becomes one wave;
+// at most N jobs of a wave run at once, each worker taking the next job
+// of the current wave under the scheduler mutex; and a job submitted
+// mid-wave waits for the next wave, which opens only once the last job of
+// the current one has returned. Idle workers sleep on a condition
+// variable. One long session therefore holds back every request behind
+// it.
 //
 // That granularity is not free. A plain 4-worker FIFO queue, measured
 // against this scheduler on the perfbench daemon_mixed workload (4 session
@@ -22,30 +19,24 @@
 // then overlap. The waves are what bound the daemon's memory today: a
 // queue that replaces them needs a memory-aware admission design first.
 //
-// Kernel-thread interaction (the scheduler/quiescence rule, see
-// docs/architecture.md): TaskPool's worker index is a plain thread_local
-// shared by EVERY pool in the process, and bdd::Manager indexes its
-// per-worker hot counters with it. A session running on scheduler worker
-// k therefore writes its manager's hot_[k] -- safe, because each session
-// owns its manager exclusively and k < Manager::kMaxThreads is enforced
-// by clamping the scheduler width. What would NOT be safe is a session
-// spinning up its own inner kernel pool (nested pools reuse worker
-// indices, so an inner worker j would alias another outer session's
-// hot_[j] if managers were shared, and deadlock-prone pool nesting
-// besides) -- so the server forces every in-daemon session to kernel
-// threads = 1: parallelism comes from running sessions concurrently, not
-// from inside one session's kernel.
+// The workers are started once and live as long as the scheduler, so
+// every session of the daemon's life runs on the same N threads and the
+// allocator's per-thread arenas are reused across waves.
+//
+// Kernel threads: the daemon's parallelism is whole sessions, one per
+// worker. The server runs every in-daemon session with kernel threads = 1
+// (server/check_server.cpp), so no session starts a kernel TaskPool under
+// a scheduler worker: that would multiply the daemon's thread count by
+// the kernel width and put a second scheduler under this one.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-
-#include "util/task_pool.hpp"
+#include <vector>
 
 namespace stgcheck::server {
 
@@ -53,20 +44,18 @@ class SessionScheduler {
  public:
   /// A job must not throw -- it reports its own failures (the server's
   /// jobs write error records/lines). Escaped exceptions are swallowed
-  /// here as a last resort, never propagated across the pool.
+  /// here as a last resort, so one job cannot stall its wave.
   using Job = std::function<void()>;
 
-  /// `threads` = max concurrently running jobs, clamped to >= 1. The
-  /// dispatcher thread is worker 0 of each wave, so `threads` total
-  /// threads compute; threads == 1 runs jobs inline on the dispatcher
-  /// (TaskPool requires >= 2).
+  /// `threads` = number of worker threads = max concurrently running
+  /// jobs, clamped to >= 1.
   explicit SessionScheduler(std::size_t threads);
   ~SessionScheduler();
 
   SessionScheduler(const SessionScheduler&) = delete;
   SessionScheduler& operator=(const SessionScheduler&) = delete;
 
-  std::size_t thread_count() const { return threads_; }
+  std::size_t thread_count() const { return workers_.size(); }
 
   /// Enqueues a job for the next wave. Jobs submitted after stop() are
   /// silently dropped (the server only stops once connections are down).
@@ -76,22 +65,22 @@ class SessionScheduler {
   void drain();
 
   /// Stops accepting jobs, finishes everything already queued, and joins
-  /// the dispatcher. Idempotent; also called by the destructor.
+  /// the workers. Idempotent; also called by the destructor.
   void stop();
 
  private:
-  void dispatcher_loop();
+  void worker_loop();
 
-  std::size_t threads_;
-  std::unique_ptr<TaskPool> pool_;  // null when threads_ == 1
   std::mutex mu_;
-  std::condition_variable wake_cv_;  // dispatcher: jobs queued or stopping
-  std::condition_variable idle_cv_;  // drain(): queue empty and wave done
-  std::deque<Job> queue_;
-  std::size_t running_ = 0;  // jobs in the wave currently executing
+  std::condition_variable work_cv_;  // workers: a wave opened, or stopping
+  std::condition_variable idle_cv_;  // drain(): queue empty and no wave
+  std::deque<Job> queue_;            // jobs waiting for the next wave
+  std::vector<Job> wave_;            // the running wave; empty = none
+  std::size_t next_ = 0;             // next job of wave_ to hand out
+  std::size_t running_ = 0;          // jobs of wave_ started, not returned
   bool stopping_ = false;
-  bool join_claimed_ = false;  // exactly one stop() call joins the dispatcher
-  std::thread dispatcher_;  // last member: starts in the ctor body
+  bool join_claimed_ = false;  // exactly one stop() call joins the workers
+  std::vector<std::thread> workers_;  // last member: started in the ctor
 };
 
 }  // namespace stgcheck::server

@@ -1,5 +1,5 @@
-// Injected time sources shared by the event log (core/events.hpp), the
-// trace recorder (util/trace.hpp) and the metrics layer (util/metrics.hpp).
+// Injected time sources shared by the event log (core/events.hpp) and the
+// trace recorder (util/trace.hpp).
 //
 // The interface lives here, below both core and the observability
 // utilities, so a TraceRecorder can be driven by the same clock a session

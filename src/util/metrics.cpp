@@ -1,7 +1,6 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,168 +9,66 @@
 namespace stgcheck::metrics {
 
 // ---------------------------------------------------------------------------
-// Counter / Histogram
+// Merge
 // ---------------------------------------------------------------------------
 
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-  return total;
+namespace {
+
+template <typename Sample>
+bool holds(const std::vector<Sample>& samples, const std::string& name) {
+  return std::any_of(samples.begin(), samples.end(),
+                     [&](const Sample& s) { return s.name == name; });
 }
 
-Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
-  // Pad each shard's bucket run to a cache-line multiple (8 u64 per line)
-  // so two workers' buckets never share a line.
-  const std::size_t buckets = edges_.size() + 1;
-  stride_ = (buckets + 7) / 8 * 8;
-  bucket_cells_ = std::vector<std::atomic<std::uint64_t>>(kShards * stride_);
-}
-
-void Histogram::observe(double v) {
-  // First edge >= v (inclusive upper bounds); past-the-end = +inf bucket.
-  const std::size_t b = static_cast<std::size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), v) - edges_.begin());
-  const std::size_t s = shard();
-  std::atomic<std::uint64_t>& cell = bucket_cells_[s * stride_ + b];
-  cell.store(cell.load(std::memory_order_relaxed) + 1,
-             std::memory_order_relaxed);
-  Cell& t = totals_[s];
-  t.count.store(t.count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  t.sum.store(t.sum.load(std::memory_order_relaxed) + v,
-              std::memory_order_relaxed);
-}
-
-void Histogram::merge_sample(const std::vector<std::uint64_t>& buckets,
-                             std::uint64_t count, double sum) {
-  const std::size_t s = shard();
-  const std::size_t n = std::min(buckets.size(), edges_.size() + 1);
-  for (std::size_t b = 0; b < n; ++b) {
-    std::atomic<std::uint64_t>& cell = bucket_cells_[s * stride_ + b];
-    cell.store(cell.load(std::memory_order_relaxed) + buckets[b],
-               std::memory_order_relaxed);
+/// The sample named `name` in `own`, appended zero-valued on first sight.
+/// Throws when one of the other two kinds already holds the name. Lookups
+/// are linear: a session snapshot carries a few dozen names.
+template <typename Sample, typename Other1, typename Other2>
+Sample& entry(std::vector<Sample>& own, const std::vector<Other1>& other1,
+              const std::vector<Other2>& other2, const std::string& name) {
+  for (Sample& s : own) {
+    if (s.name == name) return s;
   }
-  Cell& t = totals_[s];
-  t.count.store(t.count.load(std::memory_order_relaxed) + count,
-                std::memory_order_relaxed);
-  t.sum.store(t.sum.load(std::memory_order_relaxed) + sum,
-              std::memory_order_relaxed);
+  if (holds(other1, name) || holds(other2, name)) {
+    throw ModelError("metric '" + name +
+                     "' already registered as another kind");
+  }
+  Sample& s = own.emplace_back();
+  s.name = name;
+  return s;
 }
 
-std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> out(edges_.size() + 1, 0);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    for (std::size_t b = 0; b < out.size(); ++b) {
-      out[b] += bucket_cells_[s * stride_ + b].load(std::memory_order_relaxed);
+}  // namespace
+
+void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  for (const CounterSample& c : other.counters) {
+    entry(counters, gauges, histograms, c.name).value += c.value;
+  }
+  for (const GaugeSample& g : other.gauges) {
+    entry(gauges, counters, histograms, g.name).value = g.value;
+  }
+  for (const HistogramSample& h : other.histograms) {
+    if (h.edges.empty()) {
+      throw ModelError("histogram '" + h.name + "' needs bucket edges");
     }
-  }
-  return out;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const Cell& c : totals_) total += c.count.load(std::memory_order_relaxed);
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0;
-  for (const Cell& c : totals_) total += c.sum.load(std::memory_order_relaxed);
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-MetricsRegistry::Entry& MetricsRegistry::entry_locked(
-    const std::string& name, Kind kind, std::vector<double>* edges) {
-  for (Entry& e : entries_) {
-    if (e.name != name) continue;
-    if (e.kind != kind) {
-      throw ModelError("metric '" + name + "' already registered as another kind");
-    }
-    return e;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = kind;
-  switch (kind) {
-    case Kind::kCounter:
-      e.counter = &counters_.emplace_back();
-      break;
-    case Kind::kGauge:
-      e.gauge = &gauges_.emplace_back();
-      break;
-    case Kind::kHistogram: {
-      if (edges == nullptr || edges->empty()) {
-        throw ModelError("histogram '" + name + "' needs bucket edges");
+    for (std::size_t i = 1; i < h.edges.size(); ++i) {
+      if (!(h.edges[i - 1] < h.edges[i])) {
+        throw ModelError("histogram '" + h.name +
+                         "' edges must be strictly increasing");
       }
-      for (std::size_t i = 1; i < edges->size(); ++i) {
-        if (!((*edges)[i - 1] < (*edges)[i])) {
-          throw ModelError("histogram '" + name +
-                           "' edges must be strictly increasing");
-        }
-      }
-      e.histogram = &histograms_.emplace_back(std::move(*edges));
-      break;
     }
-  }
-  entries_.push_back(std::move(e));
-  return entries_.back();
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *entry_locked(name, Kind::kCounter, nullptr).counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *entry_locked(name, Kind::kGauge, nullptr).gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> edges) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *entry_locked(name, Kind::kHistogram, &edges).histogram;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot snap;
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        snap.counters.push_back({e.name, e.counter->value()});
-        break;
-      case Kind::kGauge:
-        snap.gauges.push_back({e.name, e.gauge->value()});
-        break;
-      case Kind::kHistogram:
-        snap.histograms.push_back({e.name, e.histogram->edges(),
-                                   e.histogram->buckets(),
-                                   e.histogram->count(), e.histogram->sum()});
-        break;
-    }
-  }
-  return snap;
-}
-
-void MetricsRegistry::merge(const MetricsSnapshot& snap) {
-  for (const MetricsSnapshot::CounterSample& c : snap.counters) {
-    counter(c.name).add(c.value);
-  }
-  for (const MetricsSnapshot::GaugeSample& g : snap.gauges) {
-    gauge(g.name).set(g.value);
-  }
-  for (const MetricsSnapshot::HistogramSample& h : snap.histograms) {
-    Histogram& dst = histogram(h.name, std::vector<double>(h.edges));
-    if (dst.edges() != h.edges) {
+    HistogramSample& dst = entry(histograms, counters, gauges, h.name);
+    if (dst.edges.empty()) {  // first sight: take the incoming edges
+      dst.edges = h.edges;
+      dst.buckets.assign(h.edges.size() + 1, 0);
+    } else if (dst.edges != h.edges) {
       throw ModelError("histogram '" + h.name +
                        "' merge with different bucket edges");
     }
-    dst.merge_sample(h.buckets, h.count, h.sum);
+    const std::size_t n = std::min(h.buckets.size(), dst.buckets.size());
+    for (std::size_t b = 0; b < n; ++b) dst.buckets[b] += h.buckets[b];
+    dst.count += h.count;
+    dst.sum += h.sum;
   }
 }
 

@@ -1,114 +1,28 @@
-// A lock-light metrics registry: named counters, gauges and histograms
-// with per-worker cache-line-padded shards, merged only when read.
+// The metrics layer: named counters, gauges and histograms as one plain
+// value, MetricsSnapshot, with JSON and Prometheus text renderings.
 //
-// This is the kernel's hot-counter pattern (bdd::Manager's per-worker
-// HotCounters, PR 6) generalized into a reusable registry the session
-// layer and the daemon can populate and scrape:
+// The snapshot is the registry. A session builds its snapshot directly
+// from its manager's profile when it finishes (core/session.cpp), and the
+// daemon keeps one server-cumulative snapshot that merge() folds every
+// finished session into, under the server's metrics mutex. Nothing here
+// is written concurrently, so the value needs no shards, atomics or lock
+// of its own: the kernel's per-worker hot counters already absorb the
+// only hot-path traffic, and a snapshot is read out of them once.
 //
-//   * Counter   -- monotone u64. add() touches only the calling worker's
-//     padded cell (TaskPool::worker_index() picks it), so concurrent
-//     increments from a parallel region never share a cache line; value()
-//     sums the cells. Writes are relaxed atomics: a concurrent read may
-//     miss in-flight increments but never tears.
-//   * Gauge     -- a single atomic double, last-write-wins (set/add).
-//   * Histogram -- fixed bucket upper bounds chosen at registration
-//     (inclusive, Prometheus "le" semantics, implicit +inf last), counts
-//     sharded per worker like Counter, plus a sharded sum so snapshots
-//     carry count/sum/mean.
-//   * ScopedTimer -- RAII: measures its own lifetime on a Stopwatch and,
-//     at destruction, observes the elapsed seconds into a Histogram
-//     and/or adds elapsed nanoseconds to a Counter.
-//
-// Registration (name -> metric) takes the registry mutex once; the
-// returned references stay valid for the registry's lifetime (deque
-// storage), so hot paths hold a pointer and never lock. snapshot()
-// produces a plain-data MetricsSnapshot with JSON and Prometheus text
-// renderings -- the daemon's "metrics" op ships the JSON, the client
-// renders the text. merge() folds a snapshot back into a registry, which
-// is how the server accumulates per-session snapshots into its
-// per-server cumulative view.
+// Histograms carry fixed bucket upper bounds (inclusive, Prometheus "le"
+// semantics, implicit +inf last) plus count and sum. The daemon's
+// "metrics" op ships to_json(); the client renders to_prometheus().
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/stopwatch.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck::metrics {
 
-/// Shard count: one cell per possible pool worker (the kernel's
-/// bdd::Manager::kMaxThreads has the same value and the same reason).
-constexpr std::size_t kShards = 64;
-
-/// Monotone counter, sharded per worker (see file comment).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) {
-    std::atomic<std::uint64_t>& c = cells_[shard()].v;
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const;
-
- private:
-  static std::size_t shard() { return TaskPool::worker_index() % kShards; }
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kShards> cells_{};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double v) { value_.fetch_add(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0};
-};
-
-/// Fixed-bucket histogram; bucket i counts observations v <= edge[i]
-/// (inclusive upper bounds, Prometheus "le"), with an implicit +inf
-/// bucket after the last edge. Counts and the sum are sharded per worker.
-class Histogram {
- public:
-  /// `edges` must be strictly increasing (checked by the registry).
-  explicit Histogram(std::vector<double> edges);
-
-  void observe(double v);
-  /// Adds a pre-aggregated sample (a snapshot of another histogram with
-  /// identical edges) into the calling worker's shard; the registry's
-  /// merge() path.
-  void merge_sample(const std::vector<std::uint64_t>& buckets,
-                    std::uint64_t count, double sum);
-  /// Merged bucket counts, edges.size() + 1 entries (last = +inf bucket).
-  std::vector<std::uint64_t> buckets() const;
-  std::uint64_t count() const;
-  double sum() const;
-  const std::vector<double>& edges() const { return edges_; }
-
- private:
-  static std::size_t shard() { return TaskPool::worker_index() % kShards; }
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0};
-  };
-  std::vector<double> edges_;
-  std::size_t stride_;  // buckets per shard, padded to a cache-line multiple
-  std::vector<std::atomic<std::uint64_t>> bucket_cells_;  // kShards * stride_
-  std::array<Cell, kShards> totals_{};
-};
-
-/// Plain-data snapshot of a registry; the wire/report form.
+/// Named metrics as plain data: the registry, the wire and the report form.
 struct MetricsSnapshot {
   struct CounterSample {
     std::string name;
@@ -125,9 +39,16 @@ struct MetricsSnapshot {
     std::uint64_t count = 0;
     double sum = 0;
   };
-  std::vector<CounterSample> counters;  // registration order
+  std::vector<CounterSample> counters;  // first-seen order
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
+
+  /// Folds `other` in: counters and histogram buckets/count/sum add,
+  /// gauges take `other`'s value, and metrics new here are appended in
+  /// `other`'s order. A name that is already a metric of another kind,
+  /// empty or non-increasing histogram edges, or an edge mismatch throws
+  /// ModelError. This is the server's per-session -> cumulative fold.
+  void merge(const MetricsSnapshot& other);
 
   /// {"counters":{name:value,...},"gauges":{...},
   ///  "histograms":{name:{"edges":[...],"buckets":[...],"count":n,"sum":s}}}
@@ -137,67 +58,6 @@ struct MetricsSnapshot {
   /// Prometheus text exposition: one "# TYPE" line per metric, histogram
   /// buckets as name_bucket{le="..."} cumulative counts.
   std::string to_prometheus() const;
-};
-
-/// Name -> metric table. Registration locks; the returned references are
-/// stable (deque storage) so readers and writers never lock again.
-class MetricsRegistry {
- public:
-  /// Returns the counter named `name`, creating it on first use. Throws
-  /// ModelError if `name` is already a metric of another kind.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Creating call fixes the bucket edges (strictly increasing, nonempty,
-  /// or ModelError); later calls ignore `edges` and return the existing
-  /// histogram.
-  Histogram& histogram(const std::string& name, std::vector<double> edges);
-
-  /// Merged point-in-time view, each kind in registration order.
-  MetricsSnapshot snapshot() const;
-
-  /// Folds `snap` in: counters and histogram buckets/sums add, gauges take
-  /// the snapshot's value. Metrics absent here are created (histograms
-  /// with the snapshot's edges); a kind or edge mismatch throws
-  /// ModelError. This is the server's per-session -> cumulative fold.
-  void merge(const MetricsSnapshot& snap);
-
- private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-  struct Entry {
-    std::string name;
-    Kind kind;
-    Counter* counter = nullptr;
-    Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
-  };
-  Entry& entry_locked(const std::string& name, Kind kind,
-                      std::vector<double>* edges);
-
-  mutable std::mutex mu_;
-  std::deque<Counter> counters_;  // deque: stable addresses across growth
-  std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
-  std::vector<Entry> entries_;  // registration order, linear lookup
-};
-
-/// RAII timer: at destruction observes elapsed seconds into `seconds`
-/// (when set) and adds elapsed nanoseconds to `nanos` (when set).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* seconds, Counter* nanos = nullptr)
-      : seconds_(seconds), nanos_(nanos) {}
-  ~ScopedTimer() {
-    const double s = watch_.seconds();
-    if (seconds_ != nullptr) seconds_->observe(s);
-    if (nanos_ != nullptr) nanos_->add(static_cast<std::uint64_t>(s * 1e9));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* seconds_;
-  Counter* nanos_;
-  Stopwatch watch_;
 };
 
 }  // namespace stgcheck::metrics

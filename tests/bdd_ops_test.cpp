@@ -120,19 +120,6 @@ TEST_F(BddOps, ExistsOfUnsupportedVarIsIdentity) {
   EXPECT_EQ(m.exists(f, c), f);
 }
 
-TEST_F(BddOps, ForallSingleVariable) {
-  Bdd f = (a & b) | (!a & b);
-  EXPECT_EQ(m.forall(f, a), b);
-  Bdd g = (a & b) | (!a & c);
-  EXPECT_EQ(m.forall(g, a), b & c);
-}
-
-TEST_F(BddOps, ForallDualOfExists) {
-  Bdd f = (a & b) | (c ^ d);
-  Bdd cube = m.positive_cube({0, 2});
-  EXPECT_EQ(m.forall(f, cube), !m.exists(!f, cube));
-}
-
 TEST_F(BddOps, AndExistsMatchesComposition) {
   Bdd f = (a & b) | (c & d);
   Bdd g = (a ^ c) | (b & !d);
@@ -144,28 +131,6 @@ TEST_F(BddOps, AndExistsTerminalCases) {
   Bdd cube = m.positive_cube({0});
   EXPECT_TRUE(m.and_exists(a, m.bdd_false(), cube).is_false());
   EXPECT_EQ(m.and_exists(a & b, m.bdd_true(), cube), b);
-}
-
-TEST_F(BddOps, RestrictAgreesOnCareSet) {
-  Bdd f = (a & b) | (!a & c);
-  Bdd care = a;
-  Bdd r = m.restrict(f, care);
-  // On the care set the restriction must equal f.
-  EXPECT_EQ(r & care, f & care);
-  // And it should not be bigger than f.
-  EXPECT_LE(m.count_nodes(r), m.count_nodes(f));
-}
-
-TEST_F(BddOps, RestrictOnFullCareIsIdentity) {
-  Bdd f = (a ^ b) | (c & d);
-  EXPECT_EQ(m.restrict(f, m.bdd_true()), f);
-}
-
-TEST_F(BddOps, RestrictSimplifiesAcrossNonSupportCare) {
-  // Care set constrains variable c which f never tests.
-  Bdd f = (a & b) | (!a & !b);
-  Bdd r = m.restrict(f, c | !c);
-  EXPECT_EQ(r, f);
 }
 
 TEST_F(BddOps, SatCountSmall) {
@@ -208,22 +173,6 @@ TEST_F(BddOps, PickOneMintermIsContainedAndComplete) {
   EXPECT_TRUE(pick.implies(f));
   EXPECT_EQ(m.cube_literals(pick).size(), 4u);
   EXPECT_THROW(m.pick_one_minterm(m.bdd_false(), {0}), ModelError);
-}
-
-TEST_F(BddOps, AllSatEnumeratesEveryAssignment) {
-  Bdd f = a ^ b;
-  auto sols = m.all_sat(f, {0, 1});
-  EXPECT_EQ(sols.size(), 2u);
-  for (const CubeLiterals& s : sols) {
-    std::vector<bool> assignment(4, false);
-    for (const Literal& l : s) assignment[l.var] = l.positive;
-    EXPECT_TRUE(m.eval(f, assignment));
-  }
-}
-
-TEST_F(BddOps, AllSatHonorsLimit) {
-  Bdd f = m.bdd_true();
-  EXPECT_THROW(m.all_sat(f, {0, 1, 2, 3}, 7), LimitError);
 }
 
 TEST_F(BddOps, PermuteHandlesLevelReversingRenames) {

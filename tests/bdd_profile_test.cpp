@@ -139,11 +139,14 @@ TEST(Profile, ArmedAndDisarmedResultsIdentical) {
 
 TEST(Profile, OpKindNamesAreStable) {
   // The names are schema: the session's metrics snapshot builds counter
-  // names from them ("op_calls_rel_next" etc.).
-  EXPECT_STREQ(to_string(OpKind::kAnd), "and");
-  EXPECT_STREQ(to_string(OpKind::kRelNext), "rel_next");
-  EXPECT_STREQ(to_string(OpKind::kReach), "reach");
-  EXPECT_STREQ(to_string(OpKind::kPermute), "permute");
+  // names from them ("op_calls_rel_next" etc.), in slot order.
+  const std::vector<std::string> expected = {
+      "and",      "xor",      "ite",   "exists",  "and_exists",
+      "cofactor", "rel_next", "reach", "permute"};
+  ASSERT_EQ(kOpKindCount, expected.size());
+  for (std::size_t k = 0; k < kOpKindCount; ++k) {
+    EXPECT_EQ(to_string(static_cast<OpKind>(k)), expected[k]) << "slot " << k;
+  }
 }
 
 TEST(Profile, PoolTelemetryEmptyWithoutPool) {

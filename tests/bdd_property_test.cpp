@@ -109,13 +109,6 @@ TEST_P(BddRandom, ExistsMatchesShannonDisjunction) {
   EXPECT_EQ(m.exists(e.f, m.var(v)), expected);
 }
 
-TEST_P(BddRandom, ForallMatchesShannonConjunction) {
-  RandomExpr e = random_expr(m, rng, 4);
-  const Var v = static_cast<Var>(rng.below(kVars));
-  Bdd expected = m.cofactor(e.f, m.var(v)) & m.cofactor(e.f, !m.var(v));
-  EXPECT_EQ(m.forall(e.f, m.var(v)), expected);
-}
-
 TEST_P(BddRandom, AndExistsAgreesWithTwoStep) {
   RandomExpr e1 = random_expr(m, rng, 4);
   RandomExpr e2 = random_expr(m, rng, 4);
@@ -151,14 +144,6 @@ TEST_P(BddRandom, CofactorByRandomCube) {
   for (Var v : m.support(cof)) {
     for (const Literal& l : lits) EXPECT_NE(v, l.var);
   }
-}
-
-TEST_P(BddRandom, RestrictAgreesOnCareSet) {
-  RandomExpr f = random_expr(m, rng, 4);
-  RandomExpr care = random_expr(m, rng, 3);
-  if (care.f.is_false()) return;  // degenerate care set: nothing to check
-  Bdd r = m.restrict(f.f, care.f);
-  EXPECT_EQ(r & care.f, f.f & care.f);
 }
 
 TEST_P(BddRandom, DisjointMatchesConjunction) {

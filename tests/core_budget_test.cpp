@@ -116,7 +116,7 @@ std::string fingerprint(const CheckSession& session) {
 }
 
 TEST(Budget, StepCapStopsSessionWithTypedEventAndCleanManager) {
-  SessionOptions options;
+  CheckConfig options;
   options.limits.max_steps = 1;  // muller_pipeline(5) needs many passes
   CheckSession session(stg::muller_pipeline(5), options);
   EXPECT_NO_THROW(session.run());  // a governed stop, not a failure
@@ -148,7 +148,7 @@ TEST(Budget, StepCapStopsSessionWithTypedEventAndCleanManager) {
 }
 
 TEST(Budget, NodeCapStopsSessionOnLargerNet) {
-  SessionOptions options;
+  CheckConfig options;
   options.limits.max_live_nodes = 64;  // encoding alone far exceeds this
   CheckSession session(stg::master_read(4), options);
   EXPECT_NO_THROW(session.run());
@@ -161,7 +161,7 @@ TEST(Budget, NodeCapStopsSessionOnLargerNet) {
 }
 
 TEST(Budget, DeadlineStopsSession) {
-  SessionOptions options;
+  CheckConfig options;
   options.limits.max_seconds = 1e-9;  // expired by the first safe point
   CheckSession session(stg::master_read(2), options);
   EXPECT_NO_THROW(session.run());
@@ -172,7 +172,7 @@ TEST(Budget, DeadlineStopsSession) {
 }
 
 TEST(Budget, PreCancelledTokenYieldsCancelledOutcome) {
-  SessionOptions options;
+  CheckConfig options;
   options.limits.token = std::make_shared<CancelToken>();
   options.limits.token->cancel();
   CheckSession session(stg::muller_pipeline(2), options);
@@ -195,7 +195,7 @@ TEST(Budget, GenerousLimitsAreBitIdenticalToNoLimits) {
     CheckSession unlimited(testutil::example_net(net));
     unlimited.run();
 
-    SessionOptions governed;
+    CheckConfig governed;
     governed.limits.max_live_nodes = 1u << 30;
     governed.limits.max_seconds = 3600.0;
     governed.limits.max_steps = 1u << 30;
@@ -219,7 +219,7 @@ TEST(Budget, ConcurrentCancelRacingRunningSessionsIsClean) {
   std::vector<std::unique_ptr<CheckSession>> sessions;
   std::vector<std::shared_ptr<CancelToken>> tokens;
   for (int i = 0; i < kSessions; ++i) {
-    SessionOptions options;
+    CheckConfig options;
     options.limits.token = std::make_shared<CancelToken>();
     tokens.push_back(options.limits.token);
     sessions.push_back(std::make_unique<CheckSession>(

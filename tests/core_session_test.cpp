@@ -142,7 +142,7 @@ TEST(CheckSession, SessionsDoNotShareState) {
 }
 
 TEST(CheckSession, OptionsAreResolvedPerSession) {
-  SessionOptions options;
+  CheckConfig options;
   options.check.strategy = TraversalStrategy::kFrontierBfs;
   CheckSession bfs(stg::muller_pipeline(2), options);
   CheckSession chained(stg::muller_pipeline(2));

@@ -74,7 +74,7 @@ TEST(ServerProtocol, SessionOptionsRejectUnknownKeysAndValues) {
   Value ok = Value::object();
   ok.set("ordering", Value("signals-first"));
   ok.set("initial_nodes", Value(1024));
-  const core::SessionOptions options = parse_session_options(ok);
+  const core::CheckConfig options = parse_session_options(ok);
   EXPECT_EQ(options.check.ordering, core::Ordering::kSignalsFirst);
   EXPECT_EQ(options.initial_nodes, 1024u);
 

@@ -5,8 +5,12 @@
 // server's SessionScheduler. Runs under TSan in CI (unit label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,7 +115,101 @@ TEST(SessionStress, SchedulerWavesMatchSerialBitForBit) {
   expect_identical(racing, serial);
 }
 
-TEST(SessionStress, SingleThreadSchedulerRunsInline) {
+TEST(SessionStress, SchedulerHoldsMidWaveJobsForTheNextWave) {
+  // The wave policy that bounds the daemon's memory: a job submitted
+  // while a wave runs starts only after that wave's last job returned, and
+  // no more than thread_count() jobs ever run at once.
+  server::SessionScheduler scheduler(2);
+  ASSERT_EQ(scheduler.thread_count(), 2u);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool holder_open = false;  // the latch of the one-job first wave
+  bool wave_open = false;    // the latch of the second wave
+  bool holder_started = false;
+  bool holder_returned = false;
+  std::size_t wave_started = 0;
+  std::size_t wave_returned = 0;
+  std::size_t late_ran = 0;
+  std::size_t running = 0;
+  std::size_t max_running = 0;
+  std::vector<std::string> violations;
+  const auto enter = [&] {
+    max_running = std::max(max_running, ++running);
+    cv.notify_all();
+  };
+
+  // A one-job first wave: once it runs, every later submission is
+  // mid-wave, so the second wave holds exactly the jobs queued behind it.
+  scheduler.submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    enter();
+    holder_started = true;
+    cv.wait(lock, [&] { return holder_open; });
+    --running;
+    holder_returned = true;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return holder_started; });
+  }
+
+  constexpr std::size_t kWave = 5;
+  for (std::size_t i = 0; i < kWave; ++i) {
+    scheduler.submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!holder_returned) {
+        violations.push_back("wave job before the holder returned");
+      }
+      enter();
+      ++wave_started;
+      cv.wait(lock, [&] { return wave_open; });
+      --running;
+      ++wave_returned;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(wave_started, 0u);
+    holder_open = true;
+    cv.notify_all();
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return wave_started == scheduler.thread_count(); });
+  }
+
+  constexpr std::size_t kLate = 3;
+  for (std::size_t i = 0; i < kLate; ++i) {
+    scheduler.submit([&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (wave_returned != kWave) {
+        violations.push_back("late job before the wave's last job returned");
+      }
+      enter();
+      ++late_ran;
+      --running;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(wave_started, scheduler.thread_count());
+    EXPECT_EQ(late_ran, 0u);
+    wave_open = true;
+    cv.notify_all();
+  }
+  scheduler.drain();
+
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(violations, std::vector<std::string>{});
+  EXPECT_EQ(wave_returned, kWave);
+  EXPECT_EQ(late_ran, kLate);
+  EXPECT_EQ(max_running, scheduler.thread_count());
+}
+
+TEST(SessionStress, SingleThreadSchedulerRunsEveryJob) {
   server::SessionScheduler scheduler(1);
   EXPECT_EQ(scheduler.thread_count(), 1u);
   std::atomic<int> done{0};

@@ -1,110 +1,62 @@
-// The metrics registry (util/metrics.hpp): counter shard merge under
-// real pool workers, histogram bucket-edge semantics (inclusive "le"
-// upper bounds, implicit +inf), registry kind checking, the JSON and
-// Prometheus renderings, and the per-session -> cumulative merge() fold.
-// Runs under the unit label so TSan sees the sharded concurrent
-// increments.
+// The metrics snapshot (util/metrics.hpp): the per-session -> cumulative
+// merge() fold (counters and histograms add, gauges take the incoming
+// value, first-seen order), its kind and bucket-edge checks, and the JSON
+// and Prometheus renderings.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/task_pool.hpp"
 
 namespace stgcheck::metrics {
 namespace {
 
-TEST(Counter, SingleThreadAccumulates) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-/// A fork unit that hammers one counter; each pool worker lands in its
-/// own shard (worker_index()), so the merged value is exact.
-struct BumpTask : TaskPool::Task {
-  Counter* counter;
-  std::size_t n;
-  BumpTask(Counter* c, std::size_t n_) : counter(c), n(n_) {}
-  void run() override {
-    for (std::size_t i = 0; i < n; ++i) counter->add();
-  }
-};
-
-TEST(Counter, ConcurrentIncrementsMergeExactly) {
-  constexpr std::size_t kTasks = 16;
-  constexpr std::size_t kPerTask = 10'000;
-  Counter c;
-  TaskPool pool(4);
-  pool.run_root([&] {
-    std::deque<BumpTask> tasks;
-    for (std::size_t i = 0; i < kTasks; ++i) tasks.emplace_back(&c, kPerTask);
-    for (BumpTask& t : tasks) pool.fork(&t);
-    for (BumpTask& t : tasks) pool.join(&t);
-    return 0;
-  });
-  EXPECT_EQ(c.value(), kTasks * kPerTask);
-}
-
-TEST(Gauge, LastWriteWins) {
-  Gauge g;
-  g.set(2.5);
-  g.add(0.5);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-  g.set(-1);
-  EXPECT_DOUBLE_EQ(g.value(), -1.0);
-}
-
-TEST(Histogram, InclusiveUpperBoundEdges) {
-  Histogram h({1.0, 2.0});
-  h.observe(0.5);  // <= 1        -> bucket 0
-  h.observe(1.0);  // == edge 0   -> bucket 0 (inclusive, Prometheus "le")
-  h.observe(1.5);  // <= 2        -> bucket 1
-  h.observe(2.0);  // == edge 1   -> bucket 1
-  h.observe(3.0);  //  > last     -> +inf bucket
-  const std::vector<std::uint64_t> buckets = h.buckets();
-  ASSERT_EQ(buckets.size(), 3u);  // edges + implicit +inf
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 2u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 3.0);
-}
-
-TEST(Registry, KindMismatchThrows) {
-  MetricsRegistry reg;
-  reg.counter("reused");
-  EXPECT_THROW(reg.gauge("reused"), ModelError);
-  EXPECT_THROW(reg.histogram("reused", {1.0}), ModelError);
-  // Same kind re-registration returns the same metric.
-  Counter& a = reg.counter("reused");
-  Counter& b = reg.counter("reused");
-  EXPECT_EQ(&a, &b);
-}
-
-TEST(Registry, BadHistogramEdgesThrow) {
-  MetricsRegistry reg;
-  EXPECT_THROW(reg.histogram("empty", {}), ModelError);
-  EXPECT_THROW(reg.histogram("unsorted", {2.0, 1.0}), ModelError);
-  EXPECT_THROW(reg.histogram("dupes", {1.0, 1.0}), ModelError);
-}
-
+/// Three observations 0.05, 0.5 and 5.0 over the edges {0.1, 1.0}: one
+/// per bucket, the last in the implicit +inf bucket.
 MetricsSnapshot populated_snapshot() {
-  MetricsRegistry reg;  // not movable (mutex); snapshot carries the state out
-  reg.counter("ops").add(7);
-  reg.gauge("rate").set(0.25);
-  Histogram& h = reg.histogram("lat", {0.1, 1.0});
-  h.observe(0.05);
-  h.observe(0.5);
-  h.observe(5.0);
-  return reg.snapshot();
+  MetricsSnapshot snap;
+  snap.counters.push_back({"ops", 7});
+  snap.gauges.push_back({"rate", 0.25});
+  snap.histograms.push_back(
+      {"lat", {0.1, 1.0}, {1, 1, 1}, 3, 0.05 + 0.5 + 5.0});
+  return snap;
+}
+
+MetricsSnapshot histogram_only(const std::string& name,
+                               std::vector<double> edges) {
+  MetricsSnapshot snap;
+  const std::size_t buckets = edges.size() + 1;
+  snap.histograms.push_back(
+      {name, std::move(edges), std::vector<std::uint64_t>(buckets, 0), 0, 0});
+  return snap;
+}
+
+TEST(Snapshot, KindMismatchThrows) {
+  MetricsSnapshot reg;
+  reg.counters.push_back({"reused", 1});
+  MetricsSnapshot as_gauge;
+  as_gauge.gauges.push_back({"reused", 2.0});
+  EXPECT_THROW(reg.merge(as_gauge), ModelError);
+  EXPECT_THROW(reg.merge(histogram_only("reused", {1.0})), ModelError);
+  // Same kind folds into the one existing metric.
+  MetricsSnapshot again;
+  again.counters.push_back({"reused", 2});
+  reg.merge(again);
+  ASSERT_EQ(reg.counters.size(), 1u);
+  EXPECT_EQ(reg.counters[0].value, 3u);
+  EXPECT_TRUE(reg.gauges.empty());
+  EXPECT_TRUE(reg.histograms.empty());
+}
+
+TEST(Snapshot, BadHistogramEdgesThrow) {
+  MetricsSnapshot reg;
+  EXPECT_THROW(reg.merge(histogram_only("empty", {})), ModelError);
+  EXPECT_THROW(reg.merge(histogram_only("unsorted", {2.0, 1.0})), ModelError);
+  EXPECT_THROW(reg.merge(histogram_only("dupes", {1.0, 1.0})), ModelError);
+  EXPECT_TRUE(reg.histograms.empty());
 }
 
 TEST(Snapshot, JsonRoundTrips) {
@@ -137,37 +89,46 @@ TEST(Snapshot, PrometheusRendering) {
   EXPECT_NE(text.find("lat_count 3"), std::string::npos);
 }
 
-TEST(Registry, MergeFoldsCountersAndHistograms) {
+TEST(Snapshot, MergeFoldsCountersAndHistograms) {
   const MetricsSnapshot snap = populated_snapshot();
-  MetricsRegistry cumulative;
-  cumulative.merge(snap);
-  cumulative.merge(snap);
-  const MetricsSnapshot merged = cumulative.snapshot();
+  MetricsSnapshot merged;
+  merged.merge(snap);
+  merged.merge(snap);
   ASSERT_EQ(merged.counters.size(), 1u);
   EXPECT_EQ(merged.counters[0].value, 14u);  // counters add
   ASSERT_EQ(merged.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(merged.gauges[0].value, 0.25);  // gauges take the value
   ASSERT_EQ(merged.histograms.size(), 1u);
   EXPECT_EQ(merged.histograms[0].count, 6u);  // buckets/sums add
+  EXPECT_DOUBLE_EQ(merged.histograms[0].sum, 2 * (0.05 + 0.5 + 5.0));
   EXPECT_EQ(merged.histograms[0].buckets,
             (std::vector<std::uint64_t>{2, 2, 2}));
 }
 
-TEST(Registry, MergeEdgeMismatchThrows) {
-  MetricsRegistry a;
-  a.histogram("lat", {0.5});
-  MetricsRegistry b;
-  b.histogram("lat", {0.1, 1.0});
-  EXPECT_THROW(a.merge(b.snapshot()), ModelError);
+TEST(Snapshot, MergeKeepsFirstSeenOrder) {
+  MetricsSnapshot merged;
+  MetricsSnapshot first;
+  first.counters = {{"b", 1}, {"a", 1}};
+  first.gauges = {{"y", 1.0}};
+  MetricsSnapshot second;
+  second.counters = {{"c", 1}, {"a", 1}};
+  second.gauges = {{"x", 2.0}, {"y", 3.0}};
+  merged.merge(first);
+  merged.merge(second);
+  ASSERT_EQ(merged.counters.size(), 3u);
+  EXPECT_EQ(merged.counters[0].name, "b");
+  EXPECT_EQ(merged.counters[1].name, "a");
+  EXPECT_EQ(merged.counters[1].value, 2u);
+  EXPECT_EQ(merged.counters[2].name, "c");
+  ASSERT_EQ(merged.gauges.size(), 2u);
+  EXPECT_EQ(merged.gauges[0].name, "y");
+  EXPECT_DOUBLE_EQ(merged.gauges[0].value, 3.0);
+  EXPECT_EQ(merged.gauges[1].name, "x");
 }
 
-TEST(ScopedTimer, ObservesLifetime) {
-  Histogram h({1e6});  // everything lands in bucket 0
-  Counter nanos;
-  { ScopedTimer timer(&h, &nanos); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.sum(), 0.0);
-  EXPECT_EQ(h.buckets()[0], 1u);
+TEST(Snapshot, MergeEdgeMismatchThrows) {
+  MetricsSnapshot reg = histogram_only("lat", {0.5});
+  EXPECT_THROW(reg.merge(histogram_only("lat", {0.1, 1.0})), ModelError);
 }
 
 }  // namespace
